@@ -5,10 +5,12 @@ Acceptance criteria from the batch-engine PR:
 * the toy exhaustive sweep must run at >= 5x the scalar evaluator's
   mappings/sec through the batch path, and
 * batched random search on a real ResNet-50 layer must be no slower than
-  the scalar loop,
+  a loop pricing the same draws one at a time,
 
 with results bit-identical in both cases (asserted here too — a fast
-wrong answer is not a speedup). Measured numbers land in
+wrong answer is not a speedup). The scalar baseline is a test-local
+loop that prices each mapping with :meth:`Evaluator.evaluate`, the oracle
+the engine is bit-exact against. Measured numbers land in
 ``BENCH_batch_eval.json`` at the repo root so later PRs have a perf
 trajectory to compare against. Run via ``make bench-batch``.
 """
@@ -18,10 +20,6 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-
-import pytest
-
-pytest.importorskip("numpy")
 
 from conftest import run_once
 
@@ -33,6 +31,7 @@ from repro.model import Evaluator
 from repro.search.exhaustive import ExhaustiveSearch
 from repro.search.random_search import RandomSearch
 from repro.problem.gemm import vector_workload
+from repro.utils.rng import make_rng
 from repro.zoo.resnet50 import RESNET50_LAYERS
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_batch_eval.json"
@@ -43,6 +42,18 @@ _RESULTS: dict = {"benchmark": "batch_eval", "cases": {}}
 def _record(case: str, payload: dict) -> None:
     _RESULTS["cases"][case] = payload
     save_json(_RESULTS, RESULTS_PATH)
+
+
+def _scalar_loop(evaluator, mappings):
+    """Price each mapping with ``Evaluator.evaluate``: (best EDP, count)."""
+    best = float("inf")
+    count = 0
+    for mapping in mappings:
+        count += 1
+        evaluation = evaluator.evaluate(mapping)
+        if evaluation.valid and evaluation.edp < best:
+            best = evaluation.edp
+    return best, count
 
 
 def _best_of(fn, rounds):
@@ -61,25 +72,27 @@ def test_toy_exhaustive_sweep_5x(benchmark):
     workload = vector_workload("v100", 100)
     mapspace = make_mapspace(arch, workload, "ruby")
 
-    def sweep(use_batch):
+    def sweep():
         return ExhaustiveSearch(
-            mapspace,
-            Evaluator(arch, workload),
-            objective="edp",
-            use_batch=use_batch,
+            mapspace, Evaluator(arch, workload), objective="edp"
         ).run()
 
+    def scalar_sweep():
+        return _scalar_loop(
+            Evaluator(arch, workload), mapspace.enumerate_mappings()
+        )
+
     rounds = 3
-    scalar, scalar_s = _best_of(lambda: sweep(False), rounds)
-    batched, batched_s = _best_of(lambda: sweep(True), rounds)
-    run_once(benchmark, lambda: sweep(True))
-    assert scalar.best_metric == batched.best_metric
-    assert scalar.num_evaluated == batched.num_evaluated
-    scalar_rate = scalar.num_evaluated / scalar_s
+    (scalar_best, scalar_count), scalar_s = _best_of(scalar_sweep, rounds)
+    batched, batched_s = _best_of(sweep, rounds)
+    run_once(benchmark, sweep)
+    assert scalar_best == batched.best_metric
+    assert scalar_count == batched.num_evaluated
+    scalar_rate = scalar_count / scalar_s
     batched_rate = batched.num_evaluated / batched_s
     speedup = batched_rate / scalar_rate
     print(
-        f"\ntoy exhaustive ({scalar.num_evaluated} mappings): "
+        f"\ntoy exhaustive ({scalar_count} mappings): "
         f"scalar {scalar_rate:,.0f}/s, batch {batched_rate:,.0f}/s "
         f"-> {speedup:.1f}x "
         f"(pruned {batched.stats['batch']['pruned']})"
@@ -87,7 +100,7 @@ def test_toy_exhaustive_sweep_5x(benchmark):
     _record(
         "toy_exhaustive_ruby_v100",
         {
-            "num_mappings": scalar.num_evaluated,
+            "num_mappings": scalar_count,
             "scalar_mappings_per_sec": round(scalar_rate, 1),
             "batch_mappings_per_sec": round(batched_rate, 1),
             "speedup": round(speedup, 2),
@@ -104,33 +117,43 @@ def test_resnet_layer_random_search_not_slower(benchmark):
     workload = by_name["conv3_3x3"].workload()
     constraints = eyeriss_row_stationary()
 
-    def search(use_batch):
+    draws = 400
+
+    def search():
         return RandomSearch(
             make_mapspace(arch, workload, "ruby-s", constraints),
             Evaluator(arch, workload),
-            max_evaluations=400,
+            max_evaluations=draws,
             patience=None,
             seed=17,
-            use_batch=use_batch,
         ).run()
 
+    def scalar_search():
+        mapspace = make_mapspace(arch, workload, "ruby-s", constraints)
+        rng = make_rng(17)
+        return _scalar_loop(
+            Evaluator(arch, workload),
+            (mapspace.sample(rng) for _ in range(draws)),
+        )
+
     rounds = 2
-    scalar, scalar_s = _best_of(lambda: search(False), rounds)
-    batched, batched_s = _best_of(lambda: search(True), rounds)
-    run_once(benchmark, lambda: search(True))
-    assert scalar.best_metric == batched.best_metric
-    scalar_rate = scalar.num_evaluated / scalar_s
+    (scalar_best, scalar_count), scalar_s = _best_of(scalar_search, rounds)
+    batched, batched_s = _best_of(search, rounds)
+    run_once(benchmark, search)
+    assert scalar_best == batched.best_metric
+    assert scalar_count == batched.num_evaluated
+    scalar_rate = scalar_count / scalar_s
     batched_rate = batched.num_evaluated / batched_s
     speedup = batched_rate / scalar_rate
     print(
-        f"\nconv3_3x3 random search ({scalar.num_evaluated} draws): "
+        f"\nconv3_3x3 random search ({scalar_count} draws): "
         f"scalar {scalar_rate:,.0f}/s, batch {batched_rate:,.0f}/s "
         f"-> {speedup:.1f}x"
     )
     _record(
         "resnet50_conv3_3x3_random_ruby_s",
         {
-            "num_mappings": scalar.num_evaluated,
+            "num_mappings": scalar_count,
             "scalar_mappings_per_sec": round(scalar_rate, 1),
             "batch_mappings_per_sec": round(batched_rate, 1),
             "speedup": round(speedup, 2),

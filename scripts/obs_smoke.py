@@ -181,10 +181,11 @@ def _http_get(url: str, timeout: float = 5.0) -> str:
 def check_live_endpoints() -> None:
     """Launch ``repro search --serve-metrics 0`` and scrape it mid-run.
 
-    The scalar (``--no-batch``) random search over a big GEMM runs for
-    many seconds, leaving a wide window to observe a fraction that is
-    nonzero, strictly below 1, and monotonically nondecreasing across
-    polls — i.e. genuinely live progress, not a post-hoc summary.
+    A random search with a 500k-draw budget over a big GEMM runs for
+    many seconds even on the batch engine, leaving a wide window to
+    observe a fraction that is nonzero, strictly below 1, and
+    monotonically nondecreasing across polls — i.e. genuinely live
+    progress, not a post-hoc summary.
     """
     proc = subprocess.Popen(
         [
@@ -202,7 +203,6 @@ def check_live_endpoints() -> None:
             "500000",
             "--patience",
             "500000",
-            "--no-batch",
             "--serve-metrics",
             "0",
         ],

@@ -149,8 +149,8 @@ def _format_search_stats(stats: Dict) -> List[str]:
     if summary:
         lines.append("  ".join(summary))
     # The batch sub-dict is schema-uniform across searchers (present with
-    # zero counters on scalar paths) — gate the footer on activity, never
-    # on key existence.
+    # zero counters on runs that priced nothing) — gate the footer on
+    # activity, never on key existence.
     batch = stats.get("batch")
     if batch and batch.get("candidates"):
         lines.append(
@@ -280,7 +280,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             seed=args.seed,
             cache_size=0 if args.no_cache else DEFAULT_CACHE_SIZE,
             start_method=args.start_method,
-            use_batch=not args.no_batch,
             batch_size=args.batch_size,
         )
     else:
@@ -294,7 +293,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             max_evaluations=args.budget,
             patience=args.patience,
             constraints=constraints,
-            use_batch=not args.no_batch,
             batch_size=args.batch_size,
             workers=args.workers,
             start_method=args.start_method,
@@ -893,11 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--batch-size", type=int, default=512,
         help="candidates per vectorized evaluation batch",
-    )
-    search.add_argument(
-        "--no-batch", action="store_true",
-        help="force the scalar evaluator (skip the vectorized batch "
-        "engine; results are identical, only slower)",
     )
     search.add_argument(
         "--row-stationary", action="store_true",

@@ -115,7 +115,6 @@ def evaluate_network(
     objective: str = "edp",
     seed: Optional[Union[int, random.Random]] = None,
     restarts: int = 1,
-    use_batch: bool = True,
     batch_size: int = 512,
     strategy: str = "random",
 ) -> Tuple[float, int, List[Tuple[str, float]]]:
@@ -187,7 +186,6 @@ def evaluate_network(
                 max_evaluations=max_evaluations,
                 patience=patience,
                 constraints=constraints,
-                use_batch=use_batch,
                 batch_size=batch_size,
             )
             mapper = Mapper(arch, workload, config)
@@ -224,7 +222,6 @@ def sweep_pe_arrays(
     patience: Optional[int] = 500,
     seed: Optional[int] = None,
     restarts: int = 1,
-    use_batch: bool = True,
     batch_size: int = 512,
 ) -> SweepResult:
     """Run the Fig. 13/14 sweep: every shape x every mapspace kind."""
@@ -243,7 +240,6 @@ def sweep_pe_arrays(
                 patience=patience,
                 seed=rng,
                 restarts=restarts,
-                use_batch=use_batch,
                 batch_size=batch_size,
             )
             result.points.append(
@@ -283,7 +279,6 @@ def sweep_glb_sizes(
     patience: Optional[int] = 500,
     seed: Optional[int] = None,
     restarts: int = 1,
-    use_batch: bool = True,
     batch_size: int = 512,
 ) -> SweepResult:
     """Co-design along the buffer axis: sweep the global-buffer capacity.
@@ -312,7 +307,6 @@ def sweep_glb_sizes(
                 patience=patience,
                 seed=rng,
                 restarts=restarts,
-                use_batch=use_batch,
                 batch_size=batch_size,
             )
             result.points.append(

@@ -46,10 +46,8 @@ class MapperConfig:
             the paper uses 3000.
         seed: RNG seed for reproducibility.
         constraints: dataflow constraints applied to the mapspace.
-        use_batch: price candidates through the vectorized batch engine
-            when it supports the triple (bit-exact; falls back to the
-            scalar evaluator otherwise).
-        batch_size: candidates per packed batch on the batch path.
+        batch_size: candidates per packed batch (random, exhaustive, and
+            branch-bound strategies).
         workers: process count for the branch-bound strategy (subtree
             work-sharing with a shared incumbent; results stay
             bit-identical to the serial walk). Other strategies ignore it.
@@ -64,7 +62,6 @@ class MapperConfig:
     patience: Optional[int] = 1_000
     seed: Optional[int] = None
     constraints: Optional[ConstraintSet] = None
-    use_batch: bool = True
     batch_size: int = 512
     workers: int = 1
     start_method: Optional[str] = None
@@ -86,8 +83,8 @@ class Mapper:
             requests hit the cached fast path instead of re-pricing.
         batch_engine: optional pre-built (or shared)
             :class:`~repro.model.batch.BatchEvaluator` handed through to
-            the batch-capable searchers; must have been built against
-            this mapper's mapspace layout.
+            the random, exhaustive, genetic, and annealing searchers; must
+            have been built against this mapper's mapspace layout.
     """
 
     def __init__(
@@ -136,7 +133,6 @@ class Mapper:
                 max_evaluations=self.config.max_evaluations,
                 patience=self.config.patience,
                 seed=effective_seed,
-                use_batch=self.config.use_batch,
                 batch_size=self.config.batch_size,
                 batch_engine=self.batch_engine,
             ).run()
@@ -145,7 +141,6 @@ class Mapper:
                 self.mapspace,
                 self.evaluator,
                 objective=self.config.objective,
-                use_batch=self.config.use_batch,
                 batch_size=self.config.batch_size,
                 batch_engine=self.batch_engine,
             ).run()
@@ -157,7 +152,6 @@ class Mapper:
                 self.evaluator,
                 objective=self.config.objective,
                 seed=effective_seed,
-                use_batch=self.config.use_batch,
                 batch_size=self.config.batch_size,
                 workers=self.config.workers,
                 start_method=self.config.start_method,
@@ -168,8 +162,6 @@ class Mapper:
                 self.evaluator,
                 objective=self.config.objective,
                 seed=effective_seed,
-                use_batch=self.config.use_batch,
-                batch_size=self.config.batch_size,
                 batch_engine=self.batch_engine,
             ).run()
         if strategy == "annealing":
@@ -181,8 +173,6 @@ class Mapper:
                 objective=self.config.objective,
                 steps=self.config.max_evaluations,
                 seed=effective_seed,
-                use_batch=self.config.use_batch,
-                batch_size=self.config.batch_size,
                 batch_engine=self.batch_engine,
             ).run()
         raise SearchError(
@@ -201,7 +191,6 @@ def find_best_mapping(
     seed: Optional[int] = None,
     constraints: Optional[ConstraintSet] = None,
     strategy: str = "random",
-    use_batch: bool = True,
     batch_size: int = 512,
     workers: int = 1,
     start_method: Optional[str] = None,
@@ -215,7 +204,6 @@ def find_best_mapping(
         patience=patience,
         seed=seed,
         constraints=constraints,
-        use_batch=use_batch,
         batch_size=batch_size,
         workers=workers,
         start_method=start_method,

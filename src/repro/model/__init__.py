@@ -20,7 +20,6 @@ from repro.model.diff import EvaluationDiff, diff_evaluations, format_diff
 from repro.model.sparsity import gated_evaluation
 from repro.model.batch import (
     DEFAULT_BATCH_SIZE,
-    HAS_NUMPY,
     BatchEvaluator,
     BatchLayout,
     BatchOutcome,
@@ -31,7 +30,6 @@ from repro.model.batch import (
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
-    "HAS_NUMPY",
     "BatchEvaluator",
     "BatchLayout",
     "BatchOutcome",

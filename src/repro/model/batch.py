@@ -54,13 +54,7 @@ from repro.model.evaluator import Evaluation, Evaluator
 from repro.obs import scope as _obs
 from repro.problem.workload import Workload
 
-try:  # pragma: no cover - exercised via the scalar-fallback tests
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
+import numpy as np
 
 #: Default number of candidates packed per batch. Large enough to amortize
 #: kernel launch overhead, small enough that a pruned batch wastes little.
@@ -161,8 +155,6 @@ class BatchLayout:
         workload: Workload,
         permutation_priority: Optional[Dict[str, Optional[Tuple[str, ...]]]] = None,
     ) -> None:
-        if not HAS_NUMPY:
-            raise RuntimeError("BatchLayout requires NumPy")
         self.arch = arch
         self.workload = workload
         self.columns = derive_columns(arch)
@@ -247,7 +239,7 @@ class BatchLayout:
             )
             if not keepers or keepers[0] != 0:
                 # The scalar model raises SpecError on these architectures;
-                # keep its semantics by refusing the batch path entirely.
+                # keep its semantics by pricing every row scalar.
                 self.paths_supported = False
                 self.paths_reason = (
                     f"tensor {tensor.name} has no outermost keeper level"
@@ -558,39 +550,36 @@ class BatchOutcome:
 class BatchEvaluator:
     """Price whole batches of mappings with vectorized kernels.
 
-    Wraps a scalar :class:`Evaluator` (whose energy table, cache, and
-    fallback path it reuses) and guarantees bit-exact agreement with it on
-    ``energy_pj``, ``cycles``, EDP, and ``utilization`` for every row it
-    prices vectorized; rows it cannot represent go through the scalar
-    evaluator unchanged. Check :attr:`supported` before use — searches
-    keep their scalar loops when the engine is unavailable (no NumPy,
-    NoC/static energy or bandwidth stalls enabled, or degenerate tensor
-    paths).
+    The one pricing path of every searcher. Wraps a scalar
+    :class:`Evaluator` (whose energy table, cache, and fallback path it
+    reuses) and guarantees bit-exact agreement with it on ``energy_pj``,
+    ``cycles``, EDP, and ``utilization`` for every row it prices
+    vectorized. Rows it cannot represent (bypass, overflow guard) go
+    through the scalar evaluator unchanged, and so does *every* row when
+    :attr:`supported` is false: cost-model configs the kernels do not
+    cover (NoC/static energy, bandwidth stalls, workloads of 2**53 or
+    more operations, tensors without an outermost keeper). Either way the
+    ``stats_payload`` ``fallback`` counter records the scalar-priced rows.
     """
 
     def __init__(
         self, evaluator: Evaluator, layout: Optional[BatchLayout] = None
     ) -> None:
         self.evaluator = evaluator
+        self.layout = layout or BatchLayout(evaluator.arch, evaluator.workload)
         self.supported, self.unsupported_reason = self._support_check(evaluator)
-        self.layout: Optional[BatchLayout] = None
+        if self.supported and not self.layout.paths_supported:
+            self.supported = False
+            self.unsupported_reason = self.layout.paths_reason
         self.batches_evaluated = 0
         self.candidates_evaluated = 0
         self.candidates_pruned = 0
         self.candidates_fallback = 0
-        if not self.supported:
-            return
-        self.layout = layout or BatchLayout(evaluator.arch, evaluator.workload)
-        if not self.layout.paths_supported:
-            self.supported = False
-            self.unsupported_reason = self.layout.paths_reason
-            return
-        self._precompute()
+        if self.supported:
+            self._precompute()
 
     @staticmethod
     def _support_check(evaluator: Evaluator) -> Tuple[bool, str]:
-        if not HAS_NUMPY:
-            return False, "numpy unavailable"
         if evaluator.include_noc or evaluator.include_static:
             return False, "NoC/static energy components enabled"
         if any(
@@ -604,7 +593,6 @@ class BatchEvaluator:
 
     def _precompute(self) -> None:
         layout = self.layout
-        assert layout is not None
         table = self.evaluator.energy_table
         self.read_pj: List[float] = []
         self.write_pj: List[float] = []
@@ -625,7 +613,6 @@ class BatchEvaluator:
     def _build_lower_bound(self, sizes: Dict[str, int]) -> None:
         """Compulsory-energy constant: see the module docstring derivation."""
         layout = self.layout
-        assert layout is not None
         lower = 0.0
         for meta in layout.tensors:
             base_lb = 1
@@ -675,7 +662,6 @@ class BatchEvaluator:
         2**53 fall back to the exact scalar path.
         """
         layout = self.layout
-        assert layout is not None
         self._guard_tensors: List[Tuple[float, Any]] = []
         for meta in layout.tensors:
             c_const = 1.0
@@ -708,52 +694,59 @@ class BatchEvaluator:
         incumbent: float = float("inf"),
         prune: bool = False,
     ) -> BatchOutcome:
-        """Price one packed batch; optionally prune against ``incumbent``."""
-        if not self.supported:
-            raise RuntimeError(
-                f"batch evaluation unsupported: {self.unsupported_reason}"
-            )
-        layout = self.layout
-        assert layout is not None
+        """Price one packed batch; optionally prune against ``incumbent``.
+
+        On an unsupported engine every row is materialized and priced by
+        :meth:`Evaluator.evaluate` (one cache lookup, stored on a miss),
+        exactly as a scalar sweep over the same candidates would.
+        """
         n = batch.size
-        bounds, rems, pos = batch.bounds, batch.rems, batch.pos
-        fallback = batch.fallback | self._overflow_rows(bounds)
-        valid = self._validity(bounds, rems)
-        cycles = self._cycles(bounds, rems)
-        cycles_f = cycles.astype(np.float64)
         pruned = np.zeros(n, dtype=bool)
-        if prune and incumbent != float("inf"):
-            if objective == "edp":
-                bound_metric = self.lb_energy * cycles_f
-            elif objective == "energy":
-                bound_metric = np.full(n, self.lb_energy)
-            else:
-                bound_metric = cycles_f
-            pruned = (
-                valid
-                & ~fallback
-                & (bound_metric * (1.0 - PRUNE_MARGIN) >= incumbent)
-            )
         metric = np.full(n, float("inf"))
         energy = np.full(n, float("nan"))
         utilization = np.full(n, float("nan"))
-        live = np.flatnonzero(valid & ~fallback & ~pruned)
-        if live.size:
-            reads, writes = self._traffic(bounds, rems, pos, live)
-            live_energy = self._energy(reads, writes)
-            energy[live] = live_energy
-            capacity = (cycles[live] * self.units_opc).astype(np.float64)
-            utilization[live] = self.ops_f / capacity
-            if objective == "edp":
-                metric[live] = live_energy * cycles_f[live]
-            elif objective == "energy":
-                metric[live] = live_energy
-            else:
-                metric[live] = cycles_f[live]
+        if self.supported:
+            bounds, rems, pos = batch.bounds, batch.rems, batch.pos
+            fallback = batch.fallback | self._overflow_rows(bounds)
+            valid = self._validity(bounds, rems)
+            cycles = self._cycles(bounds, rems)
+            cycles_f = cycles.astype(np.float64)
+            if prune and incumbent != float("inf"):
+                if objective == "edp":
+                    bound_metric = self.lb_energy * cycles_f
+                elif objective == "energy":
+                    bound_metric = np.full(n, self.lb_energy)
+                else:
+                    bound_metric = cycles_f
+                pruned = (
+                    valid
+                    & ~fallback
+                    & (bound_metric * (1.0 - PRUNE_MARGIN) >= incumbent)
+                )
+            live = np.flatnonzero(valid & ~fallback & ~pruned)
+            if live.size:
+                reads, writes = self._traffic(bounds, rems, pos, live)
+                live_energy = self._energy(reads, writes)
+                energy[live] = live_energy
+                capacity = (cycles[live] * self.units_opc).astype(np.float64)
+                utilization[live] = self.ops_f / capacity
+                if objective == "edp":
+                    metric[live] = live_energy * cycles_f[live]
+                elif objective == "energy":
+                    metric[live] = live_energy
+                else:
+                    metric[live] = cycles_f[live]
+            # Callers already made any cache lookup for these rows.
+            price = self.evaluator.evaluate_fresh
+        else:
+            fallback = np.ones(n, dtype=bool)
+            valid = np.zeros(n, dtype=bool)
+            cycles = np.zeros(n, dtype=np.int64)
+            price = self.evaluator.evaluate
         evaluations: Dict[int, Evaluation] = {}
         for i in np.flatnonzero(fallback):
             i = int(i)
-            evaluation = self.evaluator.evaluate_fresh(batch.mapping_at(i))
+            evaluation = price(batch.mapping_at(i))
             evaluations[i] = evaluation
             valid[i] = evaluation.valid
             pruned[i] = False
@@ -764,14 +757,7 @@ class BatchEvaluator:
                 utilization[i] = evaluation.utilization
             else:
                 metric[i] = float("inf")
-        self.batches_evaluated += 1
-        self.candidates_evaluated += n
-        self.candidates_pruned += int(pruned.sum())
-        self.candidates_fallback += int(fallback.sum())
-        _obs.inc("batch.batches")
-        _obs.inc("batch.candidates", n)
-        _obs.inc("batch.pruned", int(pruned.sum()))
-        _obs.inc("batch.fallback", int(fallback.sum()))
+        self._record(n, int(pruned.sum()), int(fallback.sum()))
         return BatchOutcome(
             valid=valid,
             pruned=pruned,
@@ -793,18 +779,22 @@ class BatchEvaluator:
         """Price a list of ``Mapping`` objects through the batch engine.
 
         With a cache attached to the wrapped evaluator, every candidate
-        costs exactly one cache lookup (matching the scalar path's
-        lookup count); hits bypass the kernels entirely. Misses are
-        packed and priced vectorized — only improvements and fallback
-        rows are re-priced scalar (and stored), so a batched search fills
-        the cache more sparsely than a scalar one.
+        costs exactly one cache lookup; hits bypass the kernels entirely.
+        Misses are packed and priced vectorized — only improvements and
+        fallback rows are re-priced scalar (and stored), so a batched
+        search fills the cache more sparsely than a scalar one. On an
+        unsupported engine each candidate goes through
+        :meth:`Evaluator.evaluate` instead, so every miss is stored.
         """
         if not self.supported:
-            raise RuntimeError(
-                f"batch evaluation unsupported: {self.unsupported_reason}"
-            )
+            outcomes = [
+                self._outcome(self.evaluator.evaluate(mapping), objective)
+                for mapping in mappings
+            ]
+            self._record(len(mappings), 0, len(mappings))
+            return outcomes
         cache = self.evaluator.cache
-        outcomes: List[Optional[CandidateOutcome]] = [None] * len(mappings)
+        results: List[Optional[CandidateOutcome]] = [None] * len(mappings)
         misses: List[Mapping] = []
         miss_rows: List[int] = []
         for i, mapping in enumerate(mappings):
@@ -813,27 +803,18 @@ class BatchEvaluator:
                 if hit is not None:
                     if hit.mapping is not mapping:
                         hit = replace(hit, mapping=mapping)
-                    outcomes[i] = CandidateOutcome(
-                        valid=hit.valid,
-                        pruned=False,
-                        metric=hit.metric(objective) if hit.valid else float("inf"),
-                        evaluation=hit,
-                        energy_pj=hit.energy_pj if hit.valid else None,
-                        cycles=hit.cycles if hit.valid else None,
-                        utilization=hit.utilization if hit.valid else None,
-                    )
+                    results[i] = self._outcome(hit, objective)
                     continue
             misses.append(mapping)
             miss_rows.append(i)
         if misses:
-            assert self.layout is not None
             batch = pack_mappings(self.layout, misses)
             outcome = self.evaluate_batch(
                 batch, objective=objective, incumbent=incumbent, prune=prune
             )
             for row, i in enumerate(miss_rows):
                 live = bool(outcome.valid[row]) and not bool(outcome.pruned[row])
-                outcomes[i] = CandidateOutcome(
+                results[i] = CandidateOutcome(
                     valid=bool(outcome.valid[row]),
                     pruned=bool(outcome.pruned[row]),
                     metric=float(outcome.metric[row]),
@@ -844,13 +825,36 @@ class BatchEvaluator:
                         float(outcome.utilization[row]) if live else None
                     ),
                 )
-        return [outcome for outcome in outcomes if outcome is not None]
+        return [result for result in results if result is not None]
+
+    @staticmethod
+    def _outcome(evaluation: Evaluation, objective: str) -> CandidateOutcome:
+        """A candidate outcome carrying a full scalar evaluation."""
+        valid = evaluation.valid
+        return CandidateOutcome(
+            valid=valid,
+            pruned=False,
+            metric=evaluation.metric(objective) if valid else float("inf"),
+            evaluation=evaluation,
+            energy_pj=evaluation.energy_pj if valid else None,
+            cycles=evaluation.cycles if valid else None,
+            utilization=evaluation.utilization if valid else None,
+        )
+
+    def _record(self, candidates: int, pruned: int, fallback: int) -> None:
+        self.batches_evaluated += 1
+        self.candidates_evaluated += candidates
+        self.candidates_pruned += pruned
+        self.candidates_fallback += fallback
+        _obs.inc("batch.batches")
+        _obs.inc("batch.candidates", candidates)
+        _obs.inc("batch.pruned", pruned)
+        _obs.inc("batch.fallback", fallback)
 
     # -- vectorized kernels ----------------------------------------------
 
     def _overflow_rows(self, bounds: Any) -> Any:
         layout = self.layout
-        assert layout is not None
         bd = np.ones((bounds.shape[0], layout.num_dims), dtype=np.float64)
         bounds_f = bounds.astype(np.float64)
         for c in range(layout.num_columns):
@@ -863,7 +867,6 @@ class BatchEvaluator:
     def _validity(self, bounds: Any, rems: Any) -> Any:
         """Replay ``check_mapping`` as boolean masks (structure is packed)."""
         layout = self.layout
-        assert layout is not None
         n = bounds.shape[0]
         # Coverage: the full per-dim Eq. (5) chain must equal the dim size.
         cov = np.zeros((n, layout.num_dims), dtype=np.int64)
@@ -908,7 +911,6 @@ class BatchEvaluator:
     def _cycles(self, bounds: Any, rems: Any) -> Any:
         """Per-dim shadowed temporal-step recursion, product over dims."""
         layout = self.layout
-        assert layout is not None
         n = bounds.shape[0]
         steps = np.zeros((n, layout.num_dims), dtype=np.int64)
         shadowed = np.zeros((n, layout.num_dims), dtype=bool)
@@ -930,7 +932,6 @@ class BatchEvaluator:
         to level comparisons and the cutoff carried as a per-row position.
         """
         layout = self.layout
-        assert layout is not None
         b = bounds[live]
         r = rems[live]
         p = pos[live]
@@ -1009,7 +1010,6 @@ class BatchEvaluator:
         * inner_spatial / outer_spatial: the copy-only multiplicities.
         """
         layout = self.layout
-        assert layout is not None
         m = b.shape[0]
         ones = np.ones(m, dtype=np.int64)
         inner = ones.copy()
@@ -1065,7 +1065,6 @@ class BatchEvaluator:
     def _energy(self, reads: Any, writes: Any) -> Any:
         """Float accumulation in the scalar model's exact operation order."""
         layout = self.layout
-        assert layout is not None
         total = np.zeros(reads.shape[0], dtype=np.float64)
         for level in range(layout.num_levels):
             level_energy = (
@@ -1130,7 +1129,6 @@ class PartialBoundEngine:
             )
         self.engine = engine
         layout = engine.layout
-        assert layout is not None
         self.layout = layout
         # Boundary cut levels at which delivered-tile counts are needed
         # (a boundary (parent, child) folds the columns above ``child``;

@@ -20,8 +20,8 @@ Lifecycle discipline (mirrors the probe-tested pool semantics):
   unregister dance is needed (attach re-registers into the same set and
   the driver's single unlink clears it).
 
-When ``multiprocessing.shared_memory`` or NumPy is unavailable — or
-segment creation fails at runtime (e.g. ``/dev/shm`` full) — the bundle
+When ``multiprocessing.shared_memory`` is unavailable — or segment
+creation fails at runtime (e.g. ``/dev/shm`` full) — the bundle
 degrades to a **pickle fallback**: the handle carries the arrays
 themselves and ``attach`` just hands them back. Same API, same data,
 ``transport`` records which path actually ran (the same degrade-never-
@@ -34,15 +34,9 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-try:  # pragma: no cover - exercised via the pickle-fallback tests
-    import numpy as np
+import numpy as np
 
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
-
-try:  # pragma: no cover - stdlib, but gate like numpy for odd builds
+try:  # pragma: no cover - stdlib, but missing on some builds
     from multiprocessing import shared_memory as _shared_memory
 
     HAS_SHM = True
@@ -127,7 +121,7 @@ class ShmArrayBundle:
         arrays inside the (pickled) handle when shared memory is
         unavailable or the segment cannot be created.
         """
-        if not (allow_shm and HAS_SHM and HAS_NUMPY):
+        if not (allow_shm and HAS_SHM):
             return cls._share_pickled(arrays)
         specs = []
         offset = 0
@@ -175,10 +169,10 @@ class ShmArrayBundle:
         """Open read-only views over an existing bundle (worker side)."""
         if handle.transport == "pickle":
             return cls(handle, dict(handle.payload or {}))
-        if not (HAS_SHM and HAS_NUMPY):  # pragma: no cover - driver gates
+        if not HAS_SHM:  # pragma: no cover - driver gates
             raise RuntimeError(
                 "cannot attach a shared-memory bundle without "
-                "multiprocessing.shared_memory and numpy"
+                "multiprocessing.shared_memory"
             )
         shm = _shared_memory.SharedMemory(name=handle.segment)
         views: Dict[str, Any] = {}

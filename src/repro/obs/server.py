@@ -307,6 +307,10 @@ class _ObsHTTPServer(ThreadingHTTPServer):
     # Searches outlive sockets; rebinding the same port across runs must
     # not fail on TIME_WAIT.
     allow_reuse_address = True
+    # listen() backlog. socketserver's default of 5 overflows when a burst
+    # of clients connects while the accept loop is starved of CPU, and the
+    # kernel then resets the surplus connections.
+    request_queue_size = 128
 
     routes: RouteSet
 

@@ -15,6 +15,7 @@ from typing import Optional, Union
 from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
+from repro.model.batch import BatchEvaluator
 from repro.model.evaluator import Evaluation, Evaluator
 from repro.obs import SearchTimer
 from repro.search.result import ConvergencePoint, SearchResult
@@ -34,17 +35,11 @@ class SimulatedAnnealing:
         cooling: geometric decay factor per step.
         restarts: independent annealing chains; best result wins.
         seed: RNG seed or generator.
-        use_batch: price candidates through the vectorized
-            :class:`~repro.model.batch.BatchEvaluator` when it supports
-            this (arch, workload, evaluator) triple, falling back to the
-            scalar evaluator otherwise — the same wiring as the other
-            searchers. The Metropolis chain is inherently sequential
-            (each step's candidate depends on the previous acceptance),
-            so candidates are priced one at a time; the engine is
-            bit-exact and evaluation consumes no RNG, so the trajectory
-            is identical to the scalar path.
-        batch_size: unused (the chain prices single candidates); kept for
-            signature uniformity with the other searchers.
+        batch_engine: optional pre-built (or shared)
+            :class:`~repro.model.batch.BatchEvaluator`; built from
+            ``evaluator`` when omitted. The Metropolis chain is inherently
+            sequential (each step's candidate depends on the previous
+            acceptance), so candidates are priced one at a time.
     """
 
     def __init__(
@@ -57,8 +52,6 @@ class SimulatedAnnealing:
         cooling: float = 0.995,
         restarts: int = 1,
         seed: Optional[Union[int, random.Random]] = None,
-        use_batch: bool = True,
-        batch_size: int = 512,
         batch_engine=None,
     ) -> None:
         if steps < 1:
@@ -77,28 +70,7 @@ class SimulatedAnnealing:
         self.cooling = cooling
         self.restarts = restarts
         self.rng = make_rng(seed)
-        self.use_batch = use_batch
-        self.batch_size = batch_size
         self.batch_engine = batch_engine
-
-    def _batch_engine(self):
-        """The batch engine, or None when this search must run scalar."""
-        if not self.use_batch:
-            return None
-        if self.batch_engine is not None:
-            # Injected shared engine (see RandomSearch._batch_engine).
-            return (
-                self.batch_engine
-                if getattr(self.batch_engine, "supported", False)
-                else None
-            )
-        layout = self.mapspace.batch_layout()
-        if layout is None:
-            return None
-        from repro.model.batch import BatchEvaluator
-
-        engine = BatchEvaluator(self.evaluator, layout=layout)
-        return engine if engine.supported else None
 
     def run(self) -> SearchResult:
         best: Optional[Evaluation] = None
@@ -114,33 +86,23 @@ class SimulatedAnnealing:
             driver="annealing",
             total_units=self.restarts * (self.steps + 1),
         )
-        engine = self._batch_engine()
+        engine = self.batch_engine or BatchEvaluator(
+            self.evaluator, layout=self.mapspace.batch_layout()
+        )
 
         def evaluate(genome):
             nonlocal evaluations, num_valid, best, best_metric
             timer.progress.advance(1)
             mapping = self.mapspace.assemble(genome, self.rng)
-            if engine is not None:
-                # Batch-of-one: the Metropolis chain is sequential, but
-                # pricing through the engine keeps the scalar evaluator
-                # off the hot path and the trajectory bit-identical
-                # (evaluation consumes no RNG).
-                outcome = engine.evaluate_mappings(
-                    [mapping], objective=self.objective, prune=False
-                )[0]
-                evaluations += 1
-                if not outcome.valid:
-                    return float("inf")
-                num_valid += 1
-                metric = outcome.metric
-                evaluation = outcome.evaluation
-            else:
-                evaluation = self.evaluator.evaluate(mapping)
-                evaluations += 1
-                if not evaluation.valid:
-                    return float("inf")
-                num_valid += 1
-                metric = evaluation.metric(self.objective)
+            outcome = engine.evaluate_mappings(
+                [mapping], objective=self.objective, prune=False
+            )[0]
+            evaluations += 1
+            if not outcome.valid:
+                return float("inf")
+            num_valid += 1
+            metric = outcome.metric
+            evaluation = outcome.evaluation
             if metric < best_metric:
                 if evaluation is None:
                     evaluation = self.evaluator.evaluate_fresh(mapping)
@@ -154,9 +116,7 @@ class SimulatedAnnealing:
             return metric
 
         with timer, obs.trace(
-            "search.run", driver="annealing",
-            mode="batch" if engine is not None else "scalar",
-            objective=self.objective,
+            "search.run", driver="annealing", objective=self.objective
         ):
             for restart in range(self.restarts):
                 with obs.trace("search.restart", index=restart):

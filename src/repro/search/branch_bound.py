@@ -61,6 +61,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
+from repro.model.batch import PRUNE_MARGIN, BatchEvaluator, PartialBoundEngine
 from repro.model.evaluator import Evaluation, Evaluator
 from repro.obs import SearchTimer
 from repro.search.result import ConvergencePoint, SearchResult
@@ -259,8 +260,6 @@ class _SubtreeWalker:
         Returns the root's bound. Buffered leaves are flushed before
         returning, so the walker's best is final when this returns.
         """
-        from repro.model.batch import PRUNE_MARGIN
-
         dims_order = self.dims_order
         root_assigned = {
             dims_order[i][0]: k for i, k in enumerate(root_indices)
@@ -359,8 +358,6 @@ class _SubtreeWalker:
         enumerated into a batch.
         """
         import numpy as np
-
-        from repro.model.batch import PRUNE_MARGIN
 
         if not self._leaf_buffer:
             return
@@ -493,8 +490,7 @@ class BranchBoundSearch:
 
     Args:
         mapspace: must be enumerable (same regime as exhaustive search).
-        evaluator: prices candidates (through the batch engine when
-            supported).
+        evaluator: prices candidates (through the batch engine).
         objective: optimization metric name ("edp", "energy", "delay").
         warm_samples: random samples seeding the incumbent before the
             tree walk; 0 disables warm start.
@@ -505,13 +501,10 @@ class BranchBoundSearch:
             free); exceeding it raises. ``None`` disables the cap. With
             ``workers > 1`` the cap applies per work unit, not globally.
         seed: RNG seed or generator (consumed only by the warm start).
-        use_batch: allow the vectorized engine; without it (or NumPy, or
-            an unsupported evaluator config) the search falls back to the
-            scalar exhaustive sweep.
         workers: fan top-level subtrees over a process pool when > 1
             (see :mod:`repro.search.branch_bound_parallel`); the best
             metric is bit-identical to the serial walk. Ignored on the
-            scalar-fallback path.
+            exhaustive fallback.
         start_method: force a multiprocessing start method ("fork" or
             "spawn") for ``workers > 1``; by default each is tried in
             that order before degrading to sequential execution.
@@ -527,7 +520,6 @@ class BranchBoundSearch:
         batch_size: int = 512,
         limit: Optional[int] = 10_000_000,
         seed: Optional[Union[int, random.Random]] = None,
-        use_batch: bool = True,
         workers: int = 1,
         start_method: Optional[str] = None,
     ) -> None:
@@ -547,40 +539,32 @@ class BranchBoundSearch:
         self.batch_size = batch_size
         self.limit = limit
         self.rng = make_rng(seed)
-        self.use_batch = use_batch
         self.workers = workers
         self.start_method = start_method
 
-    def _batch_engine(self):
-        """The batch engine, or None when this search must run scalar."""
-        if not self.use_batch:
-            return None
-        layout = self.mapspace.batch_layout()
-        if layout is None:
-            return None
-        from repro.model.batch import BatchEvaluator
-
-        engine = BatchEvaluator(self.evaluator, layout=layout)
-        return engine if engine.supported else None
-
     def run(self) -> SearchResult:
-        engine = self._batch_engine()
-        if engine is None:
-            return self._run_scalar_fallback()
+        engine = BatchEvaluator(
+            self.evaluator, layout=self.mapspace.batch_layout()
+        )
+        if not engine.supported:
+            return self._run_exhaustive(engine)
         if self.workers > 1:
             from repro.search.branch_bound_parallel import run_parallel_tree
 
             return run_parallel_tree(self, engine)
         return self._run_tree(engine)
 
-    # -- scalar fallback -------------------------------------------------
+    # -- exhaustive fallback ---------------------------------------------
 
-    def _run_scalar_fallback(self) -> SearchResult:
-        """No engine, no bounds: degrade to the scalar exhaustive sweep.
+    def _run_exhaustive(self, engine) -> SearchResult:
+        """No kernels, no bounds: degrade to the exhaustive sweep.
 
-        Same best mapping (the tree walk is exact), uniform stats schema
-        (zeroed ``batch`` and ``bnb`` sub-dicts), driver relabeled so the
-        run is attributable in traces and footers.
+        The partial-bound engine needs the vectorized kernels, so on a
+        cost-model config they do not cover (the engine prices every row
+        scalar) the tree walk would bound nothing. Same best mapping (the
+        tree walk is exact), uniform stats schema (zeroed ``bnb``
+        sub-dict), driver relabeled so the run is attributable in traces
+        and footers.
         """
         from repro.search.exhaustive import ExhaustiveSearch
 
@@ -593,7 +577,8 @@ class BranchBoundSearch:
                 self.evaluator,
                 objective=self.objective,
                 limit=self.limit if self.limit is not None else 1_000_000_000,
-                use_batch=False,
+                batch_size=self.batch_size,
+                batch_engine=engine,
             ).run()
         result.stats["bnb"] = _bnb_stats()
         return result
@@ -623,8 +608,6 @@ class BranchBoundSearch:
         return walker.best_metric if walker.best is not None else None
 
     def _run_tree(self, engine) -> SearchResult:
-        from repro.model.batch import PartialBoundEngine
-
         mapspace = self.mapspace
         menus = mapspace.dim_chain_menus()
         bound_engine = PartialBoundEngine(engine, menus)
@@ -640,8 +623,7 @@ class BranchBoundSearch:
             self.evaluator, driver="branch-bound", total_units=total_cells
         )
         with timer, obs.trace(
-            "search.run", driver="branch-bound", mode="batch",
-            objective=self.objective,
+            "search.run", driver="branch-bound", objective=self.objective
         ):
             walker = _SubtreeWalker(
                 mapspace,
@@ -719,7 +701,6 @@ def branch_bound_search(
     batch_size: int = 512,
     limit: Optional[int] = 10_000_000,
     seed: Optional[Union[int, random.Random]] = None,
-    use_batch: bool = True,
     workers: int = 1,
     start_method: Optional[str] = None,
 ) -> SearchResult:
@@ -733,7 +714,6 @@ def branch_bound_search(
         batch_size=batch_size,
         limit=limit,
         seed=seed,
-        use_batch=use_batch,
         workers=workers,
         start_method=start_method,
     ).run()

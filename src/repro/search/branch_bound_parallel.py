@@ -96,9 +96,8 @@ def _get_stack(state: Dict[str, Any]) -> Dict[str, Any]:
         energy_table=state["energy_table"],
         cache=cache,
     )
-    layout = mapspace.batch_layout()
-    engine = BatchEvaluator(evaluator, layout=layout)
-    if layout is None or not engine.supported:
+    engine = BatchEvaluator(evaluator, layout=mapspace.batch_layout())
+    if not engine.supported:
         raise SearchError(
             "batch engine unsupported in branch-and-bound worker"
         )
@@ -117,7 +116,7 @@ def _get_stack(state: Dict[str, Any]) -> Dict[str, Any]:
         "mapspace": mapspace,
         "evaluator": evaluator,
         "engine": engine,
-        "layout": layout,
+        "layout": engine.layout,
         "bound_engine": bound_engine,
         "dims_order": dims_branch_order(menus),
         "num_dims": len(menus),

@@ -7,6 +7,7 @@ from typing import Optional
 from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
+from repro.model.batch import BatchEvaluator
 from repro.model.evaluator import Evaluation, Evaluator
 from repro.obs import SearchTimer
 from repro.search.result import ConvergencePoint, SearchResult
@@ -15,25 +16,24 @@ from repro.search.result import ConvergencePoint, SearchResult
 class ExhaustiveSearch:
     """Evaluate every mapping of a mapspace, each exactly once.
 
-    By default the sweep runs through the vectorized batch engine
+    The sweep runs through the batch engine
     (:class:`~repro.model.batch.BatchEvaluator`): candidates are packed
     straight from the chain enumerator into columnar batches and priced in
     bulk, with admissible lower-bound pruning skipping the expensive
     traffic stage for candidates that provably cannot beat the incumbent.
-    Results are bit-exact against the scalar path. The scalar loop is kept
-    for permutation sweeps and NumPy-less environments.
+    Results are bit-exact against the scalar evaluator, which the engine
+    itself falls back to for cost-model configs its kernels do not cover.
 
     Args:
         mapspace: must be small enough to enumerate.
         evaluator: prices each mapping.
         objective: optimization metric name.
-        permutations: also enumerate temporal loop orders (scalar path).
         limit: safety cap on enumerated mappings; exceeding it raises.
-        use_batch: price candidates through the batch engine when it
-            supports this (arch, workload, evaluator) triple.
         batch_size: candidates per packed batch.
-        prune: enable lower-bound pruning on the batch path. Never changes
-            the search outcome — only which candidates get fully priced.
+        prune: enable lower-bound pruning. Never changes the search
+            outcome — only which candidates get fully priced.
+        batch_engine: optional pre-built (or shared) engine; built from
+            ``evaluator`` when omitted.
     """
 
     def __init__(
@@ -41,9 +41,7 @@ class ExhaustiveSearch:
         mapspace: MapSpace,
         evaluator: Evaluator,
         objective: str = "edp",
-        permutations: bool = False,
         limit: int = 1_000_000,
-        use_batch: bool = True,
         batch_size: int = 512,
         prune: bool = True,
         batch_engine=None,
@@ -51,41 +49,15 @@ class ExhaustiveSearch:
         self.mapspace = mapspace
         self.evaluator = evaluator
         self.objective = objective
-        self.permutations = permutations
         self.limit = limit
-        self.use_batch = use_batch
         self.batch_size = batch_size
         self.prune = prune
         self.batch_engine = batch_engine
 
-    def _batch_engine(self):
-        """The batch engine, or None when this sweep must run scalar."""
-        if not self.use_batch or self.permutations:
-            # Permutation sweeps leave the columnar grid (several temporal
-            # loops per level per dim) — enumerate them scalar.
-            return None
-        if self.batch_engine is not None:
-            # Injected shared engine (see RandomSearch._batch_engine).
-            return (
-                self.batch_engine
-                if getattr(self.batch_engine, "supported", False)
-                else None
-            )
-        layout = self.mapspace.batch_layout()
-        if layout is None:
-            return None
-        from repro.model.batch import BatchEvaluator
-
-        engine = BatchEvaluator(self.evaluator, layout=layout)
-        return engine if engine.supported else None
-
     def run(self) -> SearchResult:
-        engine = self._batch_engine()
-        if engine is not None:
-            return self._run_batched(engine)
-        return self._run_scalar()
-
-    def _run_batched(self, engine) -> SearchResult:
+        engine = self.batch_engine or BatchEvaluator(
+            self.evaluator, layout=self.mapspace.batch_layout()
+        )
         best: Optional[Evaluation] = None
         best_metric = float("inf")
         num_valid = 0
@@ -102,8 +74,7 @@ class ExhaustiveSearch:
             total_units=self.mapspace.enumeration_upper_bound(),
         )
         with timer, obs.trace(
-            "search.run", driver="exhaustive", mode="batch",
-            objective=self.objective,
+            "search.run", driver="exhaustive", objective=self.objective
         ):
             for batch in self.mapspace.iter_batches(batch_size=batch_size):
                 if evaluations + batch.size > self.limit:
@@ -156,80 +127,12 @@ class ExhaustiveSearch:
             stats=timer.stats(evaluations, engine=engine),
         )
 
-    def _run_scalar(self) -> SearchResult:
-        best: Optional[Evaluation] = None
-        best_metric = float("inf")
-        num_valid = 0
-        evaluations = 0
-        curve = []
-        # Permutation sweeps multiply the space by per-level orderings the
-        # menu product doesn't see — leave their total unknown rather than
-        # report a fraction that sails past 1.0.
-        timer = SearchTimer(
-            self.evaluator,
-            driver="exhaustive",
-            total_units=(
-                None
-                if self.permutations
-                else self.mapspace.enumeration_upper_bound()
-            ),
-        )
-        with timer, obs.trace(
-            "search.run", driver="exhaustive", mode="scalar",
-            objective=self.objective,
-        ):
-            for mapping in self.mapspace.enumerate_mappings(
-                permutations=self.permutations
-            ):
-                # No dedup: chain enumeration emits each candidate exactly
-                # once (distinct chain combinations produce distinct cells,
-                # hence distinct signatures), so a seen-set would only hide
-                # a count mismatch against the batched path. The
-                # enumeration-count-parity invariant checks this.
-                evaluations += 1
-                if evaluations > self.limit:
-                    raise SearchError(
-                        f"exhaustive search exceeded limit of {self.limit} "
-                        "mappings"
-                    )
-                evaluation = self.evaluator.evaluate(mapping)
-                timer.progress.advance(1)
-                if not evaluation.valid:
-                    continue
-                num_valid += 1
-                metric = evaluation.metric(self.objective)
-                if metric < best_metric:
-                    best = evaluation
-                    best_metric = metric
-                    curve.append(
-                        ConvergencePoint(
-                            evaluations=evaluations, best_metric=metric
-                        )
-                    )
-                    obs.inc("search.improvements", driver="exhaustive")
-                    obs.set_gauge(
-                        "search.best_metric", metric, driver="exhaustive"
-                    )
-                    timer.progress.improved(metric)
-            obs.inc("search.candidates", evaluations, driver="exhaustive")
-        return SearchResult(
-            best=best,
-            objective=self.objective,
-            num_evaluated=evaluations,
-            num_valid=num_valid,
-            terminated_by="exhausted",
-            curve=curve,
-            stats=timer.stats(evaluations),
-        )
-
 
 def exhaustive_search(
     mapspace: MapSpace,
     evaluator: Evaluator,
     objective: str = "edp",
-    permutations: bool = False,
     limit: int = 1_000_000,
-    use_batch: bool = True,
     batch_size: int = 512,
     prune: bool = True,
 ) -> SearchResult:
@@ -238,9 +141,7 @@ def exhaustive_search(
         mapspace,
         evaluator,
         objective=objective,
-        permutations=permutations,
         limit=limit,
-        use_batch=use_batch,
         batch_size=batch_size,
         prune=prune,
     ).run()

@@ -20,6 +20,7 @@ from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.allocation import DimChain
 from repro.mapspace.generator import MapSpace
+from repro.model.batch import BatchEvaluator
 from repro.model.evaluator import Evaluation, Evaluator
 from repro.obs import SearchTimer
 from repro.search.result import ConvergencePoint, SearchResult
@@ -40,15 +41,11 @@ class GeneticSearch:
         mutation_rate: probability of mutating each offspring.
         tournament: tournament size for parent selection.
         seed: RNG seed or generator.
-        use_batch: score each population through the vectorized
-            :class:`~repro.model.batch.BatchEvaluator` when supported.
-            Genomes are assembled in population order before scoring (the
-            RNG stream is untouched by evaluation), and the engine is
-            bit-exact, so the evolution trajectory is identical to the
-            scalar path. Pruning stays off — selection needs every
-            individual's fitness, not just the incumbent-beaters.
-        batch_size: unused on the scalar path; populations are scored as
-            one batch each (they are search-sized, not sweep-sized).
+        batch_engine: optional pre-built (or shared)
+            :class:`~repro.model.batch.BatchEvaluator`; built from
+            ``evaluator`` when omitted. Each population is scored as one
+            batch. Pruning stays off — selection needs every individual's
+            fitness, not just the incumbent-beaters.
     """
 
     def __init__(
@@ -61,8 +58,6 @@ class GeneticSearch:
         mutation_rate: float = 0.3,
         tournament: int = 3,
         seed: Optional[Union[int, random.Random]] = None,
-        use_batch: bool = True,
-        batch_size: int = 512,
         batch_engine=None,
     ) -> None:
         if population_size < 2:
@@ -81,32 +76,13 @@ class GeneticSearch:
         self.mutation_rate = mutation_rate
         self.tournament = tournament
         self.rng = make_rng(seed)
-        self.use_batch = use_batch
-        self.batch_size = batch_size
         self.batch_engine = batch_engine
-
-    def _batch_engine(self):
-        """The batch engine, or None when scoring must run scalar."""
-        if not self.use_batch:
-            return None
-        if self.batch_engine is not None:
-            # Injected shared engine (see RandomSearch._batch_engine).
-            return (
-                self.batch_engine
-                if getattr(self.batch_engine, "supported", False)
-                else None
-            )
-        layout = self.mapspace.batch_layout()
-        if layout is None:
-            return None
-        from repro.model.batch import BatchEvaluator
-
-        engine = BatchEvaluator(self.evaluator, layout=layout)
-        return engine if engine.supported else None
 
     def run(self) -> SearchResult:
         """Evolve the population and return the best mapping found."""
-        engine = self._batch_engine()
+        engine = self.batch_engine or BatchEvaluator(
+            self.evaluator, layout=self.mapspace.batch_layout()
+        )
         timer = SearchTimer(
             self.evaluator,
             driver="genetic",
@@ -123,39 +99,25 @@ class GeneticSearch:
             """Fitness of a whole population, in population order.
 
             All genomes are assembled first (the only RNG consumer), then
-            priced in one batch when the engine is available — the stream
-            and the metrics match per-genome scalar scoring exactly.
+            priced in one batch.
             """
             nonlocal evaluations, num_valid, best, best_metric
             mappings = [
                 self.mapspace.assemble(genome, self.rng) for genome in genomes
             ]
-            outcomes = None
-            if engine is not None:
-                outcomes = engine.evaluate_mappings(
-                    mappings, objective=self.objective, prune=False
-                )
+            outcomes = engine.evaluate_mappings(
+                mappings, objective=self.objective, prune=False
+            )
             metrics: List[float] = []
-            for index, mapping in enumerate(mappings):
-                if outcomes is not None:
-                    outcome = outcomes[index]
-                    valid = outcome.valid
-                    metric = outcome.metric
-                    evaluation = outcome.evaluation
-                else:
-                    evaluation = self.evaluator.evaluate(mapping)
-                    valid = evaluation.valid
-                    metric = (
-                        evaluation.metric(self.objective)
-                        if valid
-                        else float("inf")
-                    )
+            for mapping, outcome in zip(mappings, outcomes):
                 evaluations += 1
-                if not valid:
+                if not outcome.valid:
                     metrics.append(float("inf"))
                     continue
                 num_valid += 1
+                metric = outcome.metric
                 if metric < best_metric:
+                    evaluation = outcome.evaluation
                     if evaluation is None:
                         evaluation = self.evaluator.evaluate_fresh(mapping)
                     best = evaluation
@@ -176,9 +138,7 @@ class GeneticSearch:
             return metrics
 
         with timer, obs.trace(
-            "search.run", driver="genetic",
-            mode="batch" if engine is not None else "scalar",
-            objective=self.objective,
+            "search.run", driver="genetic", objective=self.objective
         ):
             population = [
                 self.mapspace.sample_chains(self.rng)

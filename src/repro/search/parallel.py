@@ -106,7 +106,6 @@ def _search_once(state: Dict[str, Any], seed: int) -> SearchResult:
             evaluator,
             objective=state["objective"],
             seed=seed,
-            use_batch=state["use_batch"],
             batch_size=state["batch_size"],
         )
     elif strategy == "random":
@@ -117,7 +116,6 @@ def _search_once(state: Dict[str, Any], seed: int) -> SearchResult:
             max_evaluations=state["max_evaluations"],
             patience=state["patience"],
             seed=seed,
-            use_batch=state["use_batch"],
             batch_size=state["batch_size"],
         )
     else:
@@ -144,7 +142,6 @@ def parallel_random_search(
     energy_table: Optional[EnergyTable] = None,
     cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
     start_method: Optional[str] = None,
-    use_batch: bool = True,
     batch_size: int = 512,
     strategy: str = "random",
 ) -> SearchResult:
@@ -164,10 +161,7 @@ def parallel_random_search(
         start_method: force a multiprocessing start method ("fork" or
             "spawn"); by default each is tried in that order before
             degrading to sequential execution.
-        use_batch: let each worker price candidates through the
-            vectorized batch engine when supported (bit-exact; results
-            are identical either way).
-        batch_size: per-worker batch size on the batch path.
+        batch_size: per-worker candidates per packed batch.
         strategy: "random" (the paper's multi-start setup) or
             "branch-bound" (each worker runs the exact search from its own
             warm-start seed; useful as a determinism cross-check).
@@ -191,7 +185,6 @@ def parallel_random_search(
         "patience": patience,
         "energy_table": energy_table or estimate_energy_table(arch),
         "cache_size": cache_size,
-        "use_batch": use_batch,
         "batch_size": batch_size,
         "strategy": strategy,
         "obs": obs.active_obs() is not None,

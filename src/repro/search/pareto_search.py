@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Union
 from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
+from repro.model.batch import BatchEvaluator
 from repro.model.evaluator import Evaluation, Evaluator
 from repro.obs import SearchTimer
 from repro.utils.rng import make_rng
@@ -80,13 +81,10 @@ class ParetoSearch:
         evaluator: prices each mapping.
         max_evaluations: sampling budget.
         seed: RNG seed or generator.
-        use_batch: price sampled candidates in chunks through the
-            vectorized :class:`~repro.model.batch.BatchEvaluator` when it
-            supports the triple (bit-exact; scalar fallback otherwise).
-            Sampling consumes the RNG stream one draw at a time and
-            evaluation consumes none, so chunked pricing visits exactly
-            the candidates the scalar path would.
-        batch_size: candidates per chunk on the batch path.
+        batch_size: candidates per chunk priced through the
+            :class:`~repro.model.batch.BatchEvaluator`. Sampling consumes
+            the RNG stream one draw at a time and evaluation consumes none,
+            so the chunk size never changes which candidates are visited.
     """
 
     def __init__(
@@ -95,7 +93,6 @@ class ParetoSearch:
         evaluator: Evaluator,
         max_evaluations: int = 10_000,
         seed: Optional[Union[int, random.Random]] = None,
-        use_batch: bool = True,
         batch_size: int = 512,
     ) -> None:
         if max_evaluations < 1:
@@ -106,60 +103,25 @@ class ParetoSearch:
         self.evaluator = evaluator
         self.max_evaluations = max_evaluations
         self.rng = make_rng(seed)
-        self.use_batch = use_batch
         self.batch_size = batch_size
-
-    def _batch_engine(self):
-        """The batch engine, or None when this search must run scalar."""
-        if not self.use_batch:
-            return None
-        layout = self.mapspace.batch_layout()
-        if layout is None:
-            return None
-        from repro.model.batch import BatchEvaluator
-
-        engine = BatchEvaluator(self.evaluator, layout=layout)
-        return engine if engine.supported else None
 
     def run(self) -> ParetoSearchResult:
         result = ParetoSearchResult()
         timer = SearchTimer(
             self.evaluator, driver="pareto", total_units=self.max_evaluations
         )
-        engine = self._batch_engine()
-        with timer, obs.trace(
-            "search.run", driver="pareto",
-            mode="batch" if engine is not None else "scalar",
-        ):
-            if engine is not None:
-                frontier = self._run_batched(engine, result, timer)
-            else:
-                frontier = self._run_scalar(result, timer)
+        engine = BatchEvaluator(
+            self.evaluator, layout=self.mapspace.batch_layout()
+        )
+        with timer, obs.trace("search.run", driver="pareto"):
+            frontier = self._sweep(engine, result, timer)
             obs.inc("search.candidates", result.num_evaluated, driver="pareto")
         frontier.sort(key=lambda e: (e.energy_pj, e.cycles))
         result.frontier = frontier
         result.stats = timer.stats(result.num_evaluated, engine=engine)
         return result
 
-    def _run_scalar(
-        self, result: ParetoSearchResult, timer: SearchTimer
-    ) -> List[Evaluation]:
-        frontier: List[Evaluation] = []
-        for _ in range(self.max_evaluations):
-            mapping = self.mapspace.sample(self.rng)
-            evaluation = self.evaluator.evaluate(mapping)
-            result.num_evaluated += 1
-            timer.progress.advance(1)
-            if not evaluation.valid:
-                continue
-            result.num_valid += 1
-            if self._admit(frontier, evaluation):
-                # No scalar incumbent in a multi-objective search: the
-                # convergence timeline records frontier growth instead.
-                timer.progress.improved(float(len(frontier)))
-        return frontier
-
-    def _run_batched(
+    def _sweep(
         self, engine, result: ParetoSearchResult, timer: SearchTimer
     ) -> List[Evaluation]:
         frontier: List[Evaluation] = []

@@ -14,6 +14,7 @@ from typing import Optional, Union
 from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
+from repro.model.batch import BatchEvaluator
 from repro.model.evaluator import Evaluation, Evaluator
 from repro.obs import SearchTimer
 from repro.search.result import ConvergencePoint, SearchResult
@@ -41,13 +42,13 @@ class RandomSearch:
             mappings; ``None`` disables the criterion. Defaults to the
             paper's 3000.
         seed: RNG seed or generator for reproducibility.
-        use_batch: price candidates through the vectorized
-            :class:`~repro.model.batch.BatchEvaluator` when it supports
-            this (arch, workload, evaluator) triple. Draws, metrics,
-            improvements, and termination are identical to the scalar
-            loop (bit-exact engine + chunk sizes bounded by the remaining
-            patience, so the RNG stream never runs ahead).
-        batch_size: candidates priced per batch on the batch path.
+        batch_size: candidates priced per batch. Draws, metrics,
+            improvements, and termination do not depend on it: chunks are
+            bounded by the remaining patience, so the RNG stream never
+            runs ahead of a one-at-a-time loop.
+        batch_engine: optional pre-built (or shared)
+            :class:`~repro.model.batch.BatchEvaluator` matching this
+            mapspace's layout; built from ``evaluator`` when omitted.
     """
 
     def __init__(
@@ -58,7 +59,6 @@ class RandomSearch:
         max_evaluations: int = 10_000,
         patience: Optional[int] = DEFAULT_PATIENCE,
         seed: Optional[Union[int, random.Random]] = None,
-        use_batch: bool = True,
         batch_size: int = 512,
         batch_engine=None,
     ) -> None:
@@ -72,40 +72,14 @@ class RandomSearch:
         self.max_evaluations = max_evaluations
         self.patience = patience
         self.rng = make_rng(seed)
-        self.use_batch = use_batch
         self.batch_size = batch_size
         self.batch_engine = batch_engine
 
-    def _batch_engine(self):
-        """The batch engine, or None when this search must run scalar."""
-        if not self.use_batch:
-            return None
-        if self.batch_engine is not None:
-            # An injected engine (the service's shared cross-job batching
-            # layer) skips construction; it must match this mapspace's
-            # layout, which the service guarantees by keying engines on
-            # the same (arch, workload, kind, constraints) signature.
-            return (
-                self.batch_engine
-                if getattr(self.batch_engine, "supported", False)
-                else None
-            )
-        layout = self.mapspace.batch_layout()
-        if layout is None:
-            return None
-        from repro.model.batch import BatchEvaluator
-
-        engine = BatchEvaluator(self.evaluator, layout=layout)
-        return engine if engine.supported else None
-
     def run(self) -> SearchResult:
         """Run the search to termination."""
-        engine = self._batch_engine()
-        if engine is not None:
-            return self._run_batched(engine)
-        return self._run_scalar()
-
-    def _run_batched(self, engine) -> SearchResult:
+        engine = self.batch_engine or BatchEvaluator(
+            self.evaluator, layout=self.mapspace.batch_layout()
+        )
         best: Optional[Evaluation] = None
         best_metric = float("inf")
         consecutive_non_improving = 0
@@ -117,15 +91,14 @@ class RandomSearch:
             self.evaluator, driver="random", total_units=self.max_evaluations
         )
         with timer, obs.trace(
-            "search.run", driver="random", mode="batch",
-            objective=self.objective,
+            "search.run", driver="random", objective=self.objective
         ):
             while evaluations < self.max_evaluations:
-                # A chunk never outruns the scalar loop's stopping point: it
-                # is capped by both the remaining budget and the draws still
-                # needed to exhaust patience, so a patience break can only
-                # land on the chunk's last draw and the RNG stream stays
-                # position-identical to the scalar path.
+                # A chunk never outruns a one-at-a-time loop's stopping
+                # point: it is capped by both the remaining budget and the
+                # draws still needed to exhaust patience, so a patience
+                # break can only land on the chunk's last draw and the RNG
+                # stream does not depend on the chunk size.
                 room = self.max_evaluations - evaluations
                 if self.patience is not None:
                     room = min(room, self.patience - consecutive_non_improving)
@@ -189,64 +162,6 @@ class RandomSearch:
             stats=stats,
         )
 
-    def _run_scalar(self) -> SearchResult:
-        best: Optional[Evaluation] = None
-        best_metric = float("inf")
-        consecutive_non_improving = 0
-        num_valid = 0
-        curve = []
-        terminated_by = "budget"
-        timer = SearchTimer(
-            self.evaluator, driver="random", total_units=self.max_evaluations
-        )
-        with timer, obs.trace(
-            "search.run", driver="random", mode="scalar",
-            objective=self.objective,
-        ):
-            for evaluations in range(1, self.max_evaluations + 1):
-                mapping = self.mapspace.sample(self.rng)
-                evaluation = self.evaluator.evaluate(mapping)
-                timer.progress.advance(1)
-                if not evaluation.valid:
-                    continue
-                num_valid += 1
-                metric = evaluation.metric(self.objective)
-                if metric < best_metric:
-                    best = evaluation
-                    best_metric = metric
-                    consecutive_non_improving = 0
-                    curve.append(
-                        ConvergencePoint(
-                            evaluations=evaluations, best_metric=metric
-                        )
-                    )
-                    obs.inc("search.improvements", driver="random")
-                    obs.set_gauge(
-                        "search.best_metric", metric, driver="random"
-                    )
-                    timer.progress.improved(metric)
-                else:
-                    consecutive_non_improving += 1
-                    if (
-                        self.patience is not None
-                        and consecutive_non_improving >= self.patience
-                    ):
-                        terminated_by = "patience"
-                        break
-            else:
-                evaluations = self.max_evaluations
-            obs.inc("search.candidates", evaluations, driver="random")
-        return SearchResult(
-            best=best,
-            objective=self.objective,
-            num_evaluated=evaluations,
-            num_valid=num_valid,
-            terminated_by=terminated_by,
-            curve=curve,
-            stats=timer.stats(evaluations),
-        )
-
-
 def random_search(
     mapspace: MapSpace,
     evaluator: Evaluator,
@@ -254,7 +169,6 @@ def random_search(
     max_evaluations: int = 10_000,
     patience: Optional[int] = DEFAULT_PATIENCE,
     seed: Optional[Union[int, random.Random]] = None,
-    use_batch: bool = True,
     batch_size: int = 512,
 ) -> SearchResult:
     """One-shot functional wrapper around :class:`RandomSearch`."""
@@ -265,6 +179,5 @@ def random_search(
         max_evaluations=max_evaluations,
         patience=patience,
         seed=seed,
-        use_batch=use_batch,
         batch_size=batch_size,
     ).run()

@@ -12,11 +12,11 @@ Two forms of sharing keep a mapper service cheap under repeated load:
 2. **Evaluator warm-keep** — repeated requests against the same
    ``(architecture, workload)`` pair reuse one
    :class:`~repro.model.evaluator.Evaluator` carrying a thread-safe
-   :class:`~repro.model.eval_cache.EvaluationCache` and, when supported,
-   one shared :class:`~repro.model.batch.BatchEvaluator` layout. The pool
-   is bounded; eviction is *warm-keep*: cold entries (fewest cache hits
-   since admission) go first, and entries pinned by in-flight jobs are
-   never evicted regardless of temperature.
+   :class:`~repro.model.eval_cache.EvaluationCache` and one shared
+   :class:`~repro.model.batch.BatchEvaluator`. The pool is bounded;
+   eviction is *warm-keep*: cold entries (fewest cache hits since
+   admission) go first, and entries pinned by in-flight jobs are never
+   evicted regardless of temperature.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.arch.spec import Architecture
 from repro.energy.table import EnergyTable
 from repro.exceptions import ServiceError
 from repro.io.serde import architecture_to_dict, workload_to_dict
+from repro.model.batch import BatchEvaluator
 from repro.model.eval_cache import EvaluationCache
 from repro.model.evaluator import Evaluation, Evaluator
 from repro.problem.workload import Workload
@@ -100,18 +101,6 @@ class SharedBatchEngine:
         self._engine = engine
         self._lock = threading.Lock()
 
-    @property
-    def supported(self) -> bool:
-        return bool(getattr(self._engine, "supported", False))
-
-    @property
-    def unsupported_reason(self) -> str:
-        return getattr(self._engine, "unsupported_reason", "")
-
-    @property
-    def evaluator(self) -> Evaluator:
-        return self._engine.evaluator
-
     def evaluate_mappings(self, *args: Any, **kwargs: Any) -> Any:
         with self._lock:
             return self._engine.evaluate_mappings(*args, **kwargs)
@@ -147,7 +136,7 @@ class _PoolEntry:
         workload: Workload,
         evaluator: Evaluator,
         cache: ThreadSafeEvaluationCache,
-        engine: Optional[SharedBatchEngine],
+        engine: SharedBatchEngine,
     ) -> None:
         self.signature = signature
         self.arch = arch
@@ -276,15 +265,7 @@ class EvaluatorPool:
         evaluator = Evaluator(
             arch, workload, self.energy_table, cache=cache
         )
-        engine: Optional[SharedBatchEngine] = None
-        try:
-            from repro.model.batch import BatchEvaluator
-
-            raw = BatchEvaluator(evaluator)
-            if raw.supported:
-                engine = SharedBatchEngine(raw)
-        except RuntimeError:
-            engine = None
+        engine = SharedBatchEngine(BatchEvaluator(evaluator))
         return _PoolEntry(signature, arch, workload, evaluator, cache, engine)
 
     def _evict_cold_locked(self) -> None:

@@ -79,7 +79,6 @@ _SEARCH_KEYS = (
     "max_evaluations",
     "patience",
     "seed",
-    "use_batch",
     "batch_size",
 )
 
@@ -121,13 +120,16 @@ def parse_search_spec(payload: Any) -> SearchSpec:
                     | {<workload dict>},
           "kind": "ruby-s", "objective": "edp", "strategy": "random",
           "max_evaluations": 500, "patience": null, "seed": 0,
-          "use_batch": true, "batch_size": 512,
+          "batch_size": 512,
           "priority": "high" | "normal" | "low"
         }
 
     Unknown top-level keys are rejected loudly (:class:`SpecError`), so a
     typoed ``"max_evals"`` fails the request instead of silently running
-    a 10k-budget default search.
+    a 10k-budget default search. That includes keys an earlier release
+    accepted and has since retired (such as the switch that once chose a
+    scalar pricing loop); only journaled specs are read leniently, see
+    :meth:`JobManager._spec_from_normalized`.
     """
     if not isinstance(payload, dict):
         raise SpecError(
@@ -432,10 +434,23 @@ class JobManager:
     def _spec_from_normalized(
         normalized: Dict[str, Any], priority: Optional[str]
     ) -> SearchSpec:
-        """Rebuild a spec from its journaled normalized form."""
+        """Rebuild a spec from its journaled normalized form.
+
+        A journal written by an earlier release can carry search keys
+        that have since been retired (the switch that once chose a scalar
+        pricing loop, whose results were bit-identical). They are dropped
+        here instead of failing the server's start; the rebuilt spec is
+        the one a fresh request without them would produce.
+        """
         arch = architecture_from_dict(normalized["arch"])
         workload = workload_from_dict(normalized["workload"])
-        config = MapperConfig(**normalized["search"])
+        search = {
+            key: value
+            for key, value in normalized["search"].items()
+            if key in _SEARCH_KEYS
+        }
+        normalized = dict(normalized, search=search)
+        config = MapperConfig(**search)
         return SearchSpec(
             arch=arch,
             workload=workload,

@@ -339,7 +339,6 @@ def _check_batch_paths(
     if not engine.supported:
         return [], []
     layout = engine.layout
-    assert layout is not None
     paths: List[str] = []
     divergences: List[Divergence] = []
     try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
@@ -15,6 +16,30 @@ from repro.arch import (
 from repro.model import Evaluator
 from repro.problem import ConvLayer, GemmLayer
 from repro.problem.gemm import vector_workload
+
+
+@pytest.fixture
+def scalar_route(monkeypatch):
+    """Context-manager factory: engines built inside price every row scalar.
+
+    Declining ``BatchEvaluator._support_check`` is exactly how a cost-model
+    config the kernels do not cover (NoC/static energy, bandwidth stalls)
+    reaches the engine's scalar route, so parity tests can run one search
+    both ways without a production switch.
+    """
+    from repro.model.batch import BatchEvaluator
+
+    @contextlib.contextmanager
+    def forced():
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                BatchEvaluator,
+                "_support_check",
+                staticmethod(lambda evaluator: (False, "scalar route forced")),
+            )
+            yield
+
+    return forced
 
 
 @pytest.fixture

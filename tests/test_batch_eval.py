@@ -6,7 +6,9 @@ scalar :class:`~repro.model.evaluator.Evaluator`'s result with ``==``, not
 ``pytest.approx`` — otherwise batched searches could diverge from the
 figures. These tests sweep presets x mapspace kinds with imperfect
 (remainder-carrying) mappings and invalid candidates included, and assert
-the searches themselves are trajectory-identical with batching on or off.
+the searches themselves are trajectory-identical whether the engine prices
+rows vectorized or routes every row through the scalar evaluator (the
+route cost-model configs outside the kernels take).
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 import random
 
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.arch import (
     eyeriss_like,
@@ -26,13 +26,24 @@ from repro.arch import (
 from repro.exceptions import SearchError
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.mapspace.factory import make_mapspace
-from repro.model import BatchEvaluator, Evaluator, pack_mappings
+from repro.io.serde import (
+    architecture_from_dict,
+    architecture_to_dict,
+    load_json,
+    save_json,
+)
+from repro.model import BatchEvaluator, CandidateOutcome, Evaluator, pack_mappings
 from repro.model.eval_cache import EvaluationCache
+from repro.obs import empty_batch_stats
 from repro.problem import ConvLayer, GemmLayer
 from repro.problem.gemm import vector_workload
+from repro.search.annealing import SimulatedAnnealing
+from repro.search.branch_bound import BranchBoundSearch
 from repro.search.exhaustive import ExhaustiveSearch
 from repro.search.genetic import GeneticSearch
+from repro.search.pareto_search import ParetoSearch
 from repro.search.random_search import RandomSearch
+from repro.utils.rng import make_rng
 
 KINDS = ("pfm", "ruby", "ruby-s", "ruby-t")
 
@@ -80,6 +91,13 @@ def _assert_same_result(a, b, *, check_stats_batch=False):
         batch = b.stats["batch"]
         assert batch["candidates"] == b.num_evaluated
         assert 0.0 <= batch["prune_rate"] <= 1.0
+
+
+def _assert_scalar_routed(result):
+    """Every candidate of ``result`` went through the scalar route."""
+    batch = result.stats["batch"]
+    assert batch["fallback"] == batch["candidates"] == result.num_evaluated
+    assert batch["pruned"] == 0
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -143,7 +161,7 @@ def test_enumeration_batch_matches_scalar(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_pruning_never_discards_the_best(kind):
+def test_pruning_never_discards_the_best(kind, scalar_route):
     """Acceptance gate: pruned and unpruned sweeps return identical results."""
     arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
     workload = vector_workload("v100", 100)
@@ -154,9 +172,11 @@ def test_pruning_never_discards_the_best(kind):
             mapspace, Evaluator(arch, workload), objective="edp", **kwargs
         ).run()
 
-    scalar = sweep(use_batch=False)
-    unpruned = sweep(use_batch=True, prune=False, batch_size=64)
-    pruned = sweep(use_batch=True, prune=True, batch_size=64)
+    with scalar_route():
+        scalar = sweep()
+    _assert_scalar_routed(scalar)
+    unpruned = sweep(prune=False, batch_size=64)
+    pruned = sweep(prune=True, batch_size=64)
     _assert_same_result(scalar, unpruned)
     _assert_same_result(scalar, pruned, check_stats_batch=True)
 
@@ -173,65 +193,68 @@ def test_pruning_skips_candidates_somewhere():
 
 
 @pytest.mark.parametrize("kind", ("pfm", "ruby", "ruby-s"))
-def test_random_search_batch_parity(kind):
-    """Batched RandomSearch is draw-for-draw identical to the scalar loop."""
+def test_random_search_batch_parity(kind, scalar_route):
+    """Batched RandomSearch is draw-for-draw identical to the scalar route."""
     arch = eyeriss_like()
     workload = ConvLayer("conv", c=8, m=16, p=6, q=6, r=3, s=3).workload()
     constraints = eyeriss_row_stationary()
 
-    def search(use_batch):
+    def search():
         return RandomSearch(
             make_mapspace(arch, workload, kind, constraints),
             Evaluator(arch, workload),
             max_evaluations=400,
             patience=80,
             seed=11,
-            use_batch=use_batch,
             batch_size=64,
         ).run()
 
-    _assert_same_result(
-        search(False), search(True), check_stats_batch=True
-    )
+    with scalar_route():
+        scalar = search()
+    _assert_scalar_routed(scalar)
+    _assert_same_result(scalar, search(), check_stats_batch=True)
 
 
-def test_random_search_patience_termination_matches():
-    """A patience stop lands on the same draw with and without batching."""
+def test_random_search_patience_termination_matches(scalar_route):
+    """A patience stop lands on the same draw on either pricing route."""
     arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
     workload = vector_workload("v100", 100)
 
-    def search(use_batch):
+    def search():
         return RandomSearch(
             make_mapspace(arch, workload, "pfm"),
             Evaluator(arch, workload),
             max_evaluations=5000,
             patience=40,
             seed=3,
-            use_batch=use_batch,
             batch_size=256,
         ).run()
 
-    a, b = search(False), search(True)
+    with scalar_route():
+        a = search()
     assert a.terminated_by == "patience"
-    _assert_same_result(a, b)
+    _assert_scalar_routed(a)
+    _assert_same_result(a, search())
 
 
-def test_genetic_batch_parity():
+def test_genetic_batch_parity(scalar_route):
     """Batched population scoring evolves the exact same trajectory."""
     arch = eyeriss_like()
     workload = GemmLayer("gemm", m=12, n=10, k=8).workload()
 
-    def search(use_batch):
+    def search():
         return GeneticSearch(
             make_mapspace(arch, workload, "ruby-s"),
             Evaluator(arch, workload),
             population_size=14,
             generations=5,
             seed=21,
-            use_batch=use_batch,
         ).run()
 
-    _assert_same_result(search(False), search(True), check_stats_batch=True)
+    with scalar_route():
+        scalar = search()
+    _assert_scalar_routed(scalar)
+    _assert_same_result(scalar, search(), check_stats_batch=True)
 
 
 def test_exhaustive_limit_enforced_on_batch_path():
@@ -240,19 +263,22 @@ def test_exhaustive_limit_enforced_on_batch_path():
     workload = vector_workload("v500", 500)
     mapspace = make_mapspace(arch, workload, "ruby")
     with pytest.raises(SearchError, match="exceeded limit"):
-        ExhaustiveSearch(
-            mapspace, Evaluator(arch, workload), limit=50, use_batch=True
-        ).run()
+        ExhaustiveSearch(mapspace, Evaluator(arch, workload), limit=50).run()
 
 
-def test_exhaustive_scalar_dedups_on_signature():
-    """The scalar sweep's seen-set now keys on Mapping.signature()."""
+def test_exhaustive_scalar_dedups_on_signature(scalar_route):
+    """The scalar route prices each distinct signature exactly once.
+
+    Chain enumeration emits every candidate once (distinct chain
+    combinations give distinct signatures), so no seen-set is needed: the
+    sweep's count equals the number of distinct enumerated signatures.
+    """
     arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
     workload = vector_workload("v100", 100)
     mapspace = make_mapspace(arch, workload, "ruby")
-    result = ExhaustiveSearch(
-        mapspace, Evaluator(arch, workload), use_batch=False
-    ).run()
+    with scalar_route():
+        result = ExhaustiveSearch(mapspace, Evaluator(arch, workload)).run()
+    _assert_scalar_routed(result)
     signatures = {
         m.signature() for m in mapspace.enumerate_mappings(permutations=False)
     }
@@ -281,30 +307,150 @@ def test_bypass_mappings_fall_back_to_scalar():
             assert scalar.energy_pj == float(outcome.energy_pj[i])
 
 
+def _draws(mapspace, seed, count):
+    """The candidates a seeded random/Pareto search draws, in order."""
+    rng = make_rng(seed)
+    return [mapspace.sample(rng) for _ in range(count)]
+
+
+def _oracle_best(evaluator, mappings, objective="edp"):
+    """First strictly-best valid candidate, priced by ``Evaluator.evaluate``."""
+    best = None
+    num_valid = 0
+    for mapping in mappings:
+        evaluation = evaluator.evaluate(mapping)
+        if not evaluation.valid:
+            continue
+        num_valid += 1
+        if best is None or evaluation.metric(objective) < best.metric(objective):
+            best = evaluation
+    return best, num_valid
+
+
+def _assert_same_best(result_best, oracle_best):
+    assert oracle_best is not None and result_best is not None
+    assert result_best.edp == oracle_best.edp
+    assert result_best.energy_pj == oracle_best.energy_pj
+    assert result_best.cycles == oracle_best.cycles
+    assert result_best.utilization == oracle_best.utilization
+
+
+class _OracleEngine:
+    """Test-local engine: every candidate through ``Evaluator.evaluate``."""
+
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+
+    def evaluate_mappings(self, mappings, objective="edp", **_):
+        outcomes = []
+        for mapping in mappings:
+            evaluation = self.evaluator.evaluate(mapping)
+            outcomes.append(
+                CandidateOutcome(
+                    valid=evaluation.valid,
+                    pruned=False,
+                    metric=(
+                        evaluation.metric(objective)
+                        if evaluation.valid
+                        else float("inf")
+                    ),
+                    evaluation=evaluation,
+                )
+            )
+        return outcomes
+
+    def stats_payload(self):
+        return empty_batch_stats()
+
+
 def test_unsupported_evaluator_runs_scalar_path():
-    """NoC/static components disable the engine; searches stay correct."""
+    """NoC/static components send every row scalar; searches stay correct."""
     arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
     workload = vector_workload("v100", 100)
-    evaluator = Evaluator(arch, workload, include_noc=True)
-    engine = BatchEvaluator(evaluator)
-    assert not engine.supported
+    assert not BatchEvaluator(
+        Evaluator(arch, workload, include_noc=True)
+    ).supported
+    result = RandomSearch(
+        make_mapspace(arch, workload, "ruby-s"),
+        Evaluator(arch, workload, include_noc=True),
+        max_evaluations=120,
+        patience=None,
+        seed=5,
+    ).run()
+    best, num_valid = _oracle_best(
+        Evaluator(arch, workload, include_noc=True),
+        _draws(make_mapspace(arch, workload, "ruby-s"), 5, 120),
+    )
+    _assert_same_best(result.best, best)
+    assert result.num_valid == num_valid
+    _assert_scalar_routed(result)
 
-    def search(use_batch):
-        return RandomSearch(
-            make_mapspace(arch, workload, "ruby-s"),
-            Evaluator(arch, workload, include_noc=True),
-            max_evaluations=120,
-            patience=None,
-            seed=5,
-            use_batch=use_batch,
+
+def test_bandwidth_stall_arch_runs_every_searcher_scalar(tmp_path):
+    """All six searchers price a bandwidth-stall architecture scalar-exact."""
+    data = architecture_to_dict(toy_glb_architecture(num_pes=6, glb_bytes=1024))
+    data["levels"][0]["bandwidth_words_per_cycle"] = 0.5
+    save_json(data, tmp_path / "arch.json")
+    arch = architecture_from_dict(load_json(tmp_path / "arch.json"))
+    workload = vector_workload("v100", 100)
+    oracle = Evaluator(arch, workload)
+    assert not BatchEvaluator(oracle).supported
+
+    def space():
+        return make_mapspace(arch, workload, "ruby-s")
+
+    draws = _draws(space(), 5, 150)
+    random_result = RandomSearch(
+        space(), Evaluator(arch, workload), max_evaluations=150,
+        patience=None, seed=5, batch_size=64,
+    ).run()
+    best, num_valid = _oracle_best(oracle, draws)
+    _assert_same_best(random_result.best, best)
+    assert random_result.num_valid == num_valid
+    _assert_scalar_routed(random_result)
+
+    pareto = ParetoSearch(
+        space(), Evaluator(arch, workload), max_evaluations=150, seed=5,
+        batch_size=64,
+    ).run()
+    valid = [e for e in map(oracle.evaluate, draws) if e.valid]
+    frontier = sorted(
+        (e.energy_pj, e.cycles)
+        for e in valid
+        if not any(
+            o.energy_pj <= e.energy_pj
+            and o.cycles <= e.cycles
+            and (o.energy_pj < e.energy_pj or o.cycles < e.cycles)
+            for o in valid
+        )
+    )
+    assert [(e.energy_pj, e.cycles) for e in pareto.frontier] == frontier
+    assert pareto.num_valid == len(valid)
+    _assert_scalar_routed(pareto)
+
+    exact, _ = _oracle_best(oracle, space().enumerate_mappings())
+    for search in (ExhaustiveSearch, BranchBoundSearch):
+        result = search(space(), Evaluator(arch, workload)).run()
+        _assert_same_best(result.best, exact)
+        _assert_scalar_routed(result)
+
+    def genetic(**kwargs):
+        return GeneticSearch(
+            space(), Evaluator(arch, workload), population_size=12,
+            generations=4, seed=21, **kwargs,
         ).run()
 
-    a, b = search(False), search(True)
-    _assert_same_result(a, b)
-    # Engine never engaged: the uniform schema still carries the batch
-    # sub-dict, with every counter at zero.
-    assert b.stats["batch"]["candidates"] == 0
-    assert b.stats["batch"]["batches"] == 0
+    def annealing(**kwargs):
+        return SimulatedAnnealing(
+            space(), Evaluator(arch, workload), steps=80, seed=21, **kwargs
+        ).run()
+
+    for run in (genetic, annealing):
+        result = run()
+        _assert_same_result(
+            run(batch_engine=_OracleEngine(Evaluator(arch, workload))), result
+        )
+        _assert_scalar_routed(result)
 
 
 def test_cache_lookup_counts_preserved_on_batch_path():
@@ -319,7 +465,6 @@ def test_cache_lookup_counts_preserved_on_batch_path():
         max_evaluations=200,
         patience=None,
         seed=9,
-        use_batch=True,
         batch_size=64,
     ).run()
     assert cache.hits + cache.misses == result.num_evaluated == 200
@@ -337,19 +482,18 @@ def test_cached_and_uncached_batched_searches_agree():
             max_evaluations=300,
             patience=None,
             seed=123,
-            use_batch=True,
             batch_size=64,
         ).run()
 
     _assert_same_result(search(None), search(EvaluationCache(1024)))
 
 
-def test_objective_energy_and_delay_parity():
+def test_objective_energy_and_delay_parity(scalar_route):
     """Non-EDP objectives route through the same exact kernels."""
     arch = simba_like()
     workload = GemmLayer("gemm", m=12, n=10, k=8).workload()
     for objective in ("energy", "delay"):
-        def search(use_batch):
+        def search():
             return RandomSearch(
                 make_mapspace(arch, workload, "ruby-s"),
                 Evaluator(arch, workload),
@@ -357,8 +501,10 @@ def test_objective_energy_and_delay_parity():
                 max_evaluations=200,
                 patience=60,
                 seed=31,
-                use_batch=use_batch,
                 batch_size=64,
             ).run()
 
-        _assert_same_result(search(False), search(True))
+        with scalar_route():
+            scalar = search()
+        _assert_scalar_routed(scalar)
+        _assert_same_result(scalar, search())

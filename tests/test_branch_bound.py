@@ -350,23 +350,26 @@ class TestBranchBoundSearch:
         assert len(metrics) == 1
 
     def test_scalar_fallback_same_optimum_and_schema(
-        self, toy_arch, vector100
+        self, toy_arch, vector100, scalar_route
     ):
         batched = BranchBoundSearch(
             make_mapspace(toy_arch, vector100, "pfm"),
             Evaluator(toy_arch, vector100),
             seed=0,
         ).run()
-        fallback = BranchBoundSearch(
-            make_mapspace(toy_arch, vector100, "pfm"),
-            Evaluator(toy_arch, vector100),
-            seed=0,
-            use_batch=False,
-        ).run()
+        with scalar_route():
+            fallback = BranchBoundSearch(
+                make_mapspace(toy_arch, vector100, "pfm"),
+                Evaluator(toy_arch, vector100),
+                seed=0,
+            ).run()
         assert fallback.best_metric == batched.best_metric
         assert set(fallback.stats["bnb"]) == set(batched.stats["bnb"])
         assert fallback.stats["bnb"]["subtrees_pruned"] == 0
-        assert fallback.stats["batch"]["candidates"] == 0
+        # The exhaustive degrade prices every candidate on the scalar route.
+        batch = fallback.stats["batch"]
+        assert batch["fallback"] == batch["candidates"]
+        assert batch["candidates"] == fallback.num_evaluated > 0
 
     def test_stats_schema(self, toy_arch, vector100):
         result = BranchBoundSearch(

@@ -277,20 +277,22 @@ class TestSearchParityWithCache:
         assert stats["cache"]["misses"] == 0
         assert stats["cache"]["hit_rate"] is None
 
-    def test_hit_rate_none_with_shared_cache_baseline(self, setting):
+    def test_hit_rate_none_with_shared_cache_baseline(
+        self, setting, scalar_route
+    ):
         """Per-run deltas of zero lookups also yield hit_rate None."""
         from repro.search.result import throughput_stats
 
         arch, workload, space = setting
         cache = EvaluationCache()
-        RandomSearch(
-            space,
-            Evaluator(arch, workload, cache=cache),
-            max_evaluations=50,
-            patience=None,
-            seed=1,
-            use_batch=False,
-        ).run()
+        with scalar_route():
+            RandomSearch(
+                space,
+                Evaluator(arch, workload, cache=cache),
+                max_evaluations=50,
+                patience=None,
+                seed=1,
+            ).run()
         # A second "run" that reuses the warm cache but performs no
         # lookups: the baseline swallows the prior run's counts.
         stats = throughput_stats(

@@ -102,19 +102,20 @@ class TestSearchSpans:
         rejects = registry.counter("search.rejects").value(driver="annealing")
         assert accepts + rejects > 0
 
-    def test_evaluator_and_cache_counters(self, toy_arch, vector100):
+    def test_evaluator_and_cache_counters(
+        self, toy_arch, vector100, scalar_route
+    ):
         space = pfm_mapspace(toy_arch, vector100)
         evaluator = Evaluator(
             toy_arch, vector100, cache=EvaluationCache(max_entries=256)
         )
         registry = MetricsRegistry()
-        with obs_scope(registry=registry):
+        with obs_scope(registry=registry), scalar_route():
             random_search(
                 space,
                 evaluator,
                 seed=0,
                 max_evaluations=200,
-                use_batch=False,
             )
         assert registry.counter("evaluator.evals").total() > 0
         lookups = (
@@ -130,8 +131,6 @@ class TestSearchSpans:
             result = random_search(
                 space, toy_evaluator, seed=0, max_evaluations=200
             )
-        if not result.stats["batch"]["candidates"]:
-            pytest.skip("batch path unsupported for this mapspace")
         assert registry.counter("batch.batches").total() > 0
         assert (
             registry.counter("batch.candidates").total()
@@ -196,47 +195,47 @@ BATCH_KEYS = {"batches", "candidates", "pruned", "prune_rate", "fallback"}
 class TestStatsSchemaStability:
     """SearchResult.stats keys are path-independent (satellite 4)."""
 
-    def _check(self, stats, expect_cache, expect_batch):
+    def _check(self, stats, expect_cache, scalar_routed=False):
         assert STATS_TOP_KEYS <= set(stats)
         if expect_cache:
             assert set(stats["cache"]) == CACHE_KEYS
         # The batch sub-dict is schema-uniform: always present with the
-        # full key set; all-zero counters on paths the engine never ran.
+        # full key set. Every search prices through the engine; on the
+        # scalar route every candidate is a fallback row.
         assert set(stats["batch"]) == BATCH_KEYS
-        if expect_batch:
-            assert stats["batch"]["candidates"] > 0
-        else:
-            assert stats["batch"]["candidates"] == 0
+        assert stats["batch"]["candidates"] > 0
+        if scalar_routed:
+            assert stats["batch"]["fallback"] == stats["batch"]["candidates"]
 
     @pytest.mark.parametrize("with_obs", [False, True])
-    def test_schema_across_paths(self, toy_arch, vector100, with_obs):
+    def test_schema_across_paths(
+        self, toy_arch, vector100, with_obs, scalar_route
+    ):
         space = pfm_mapspace(toy_arch, vector100)
 
         def run_all():
-            scalar = random_search(
-                space,
-                Evaluator(toy_arch, vector100),
-                seed=0,
-                max_evaluations=100,
-                use_batch=False,
-            )
-            cached = random_search(
-                space,
-                Evaluator(
-                    toy_arch,
-                    vector100,
-                    cache=EvaluationCache(max_entries=128),
-                ),
-                seed=0,
-                max_evaluations=100,
-                use_batch=False,
-            )
+            with scalar_route():
+                scalar = random_search(
+                    space,
+                    Evaluator(toy_arch, vector100),
+                    seed=0,
+                    max_evaluations=100,
+                )
+                cached = random_search(
+                    space,
+                    Evaluator(
+                        toy_arch,
+                        vector100,
+                        cache=EvaluationCache(max_entries=128),
+                    ),
+                    seed=0,
+                    max_evaluations=100,
+                )
             batched = random_search(
                 space,
                 Evaluator(toy_arch, vector100),
                 seed=0,
                 max_evaluations=100,
-                use_batch=True,
             )
             pooled = parallel_random_search(
                 toy_arch,
@@ -255,16 +254,10 @@ class TestStatsSchemaStability:
         else:
             scalar, cached, batched, pooled = run_all()
 
-        self._check(scalar.stats, expect_cache=False, expect_batch=False)
-        self._check(cached.stats, expect_cache=True, expect_batch=False)
-        engine_ran = batched.stats["batch"]["candidates"] > 0
-        self._check(
-            batched.stats, expect_cache=False, expect_batch=engine_ran
-        )
-        pool_engine_ran = pooled.stats["batch"]["candidates"] > 0
-        self._check(
-            pooled.stats, expect_cache=True, expect_batch=pool_engine_ran
-        )
+        self._check(scalar.stats, expect_cache=False, scalar_routed=True)
+        self._check(cached.stats, expect_cache=True, scalar_routed=True)
+        self._check(batched.stats, expect_cache=False)
+        self._check(pooled.stats, expect_cache=True)
 
 
 class TestUniformStatsSchema:

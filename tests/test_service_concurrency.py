@@ -8,6 +8,8 @@ hard invariant here, not a timing hope.
 """
 
 import json
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -50,6 +52,36 @@ def spec(seed, max_evaluations=300, **overrides):
     }
     payload.update(overrides)
     return payload
+
+
+def run_clients(call, count):
+    """Run ``call(index)`` on ``count`` threads at once; return the results.
+
+    A client thread that raises records its exception, and the first one
+    is re-raised here, so a dead client fails the test with its own error.
+    """
+    results = [None] * count
+    errors = [None] * count
+    barrier = threading.Barrier(count)
+
+    def client(index):
+        try:
+            barrier.wait(timeout=60)
+            results[index] = call(index)
+        except BaseException as error:  # noqa: BLE001 - re-raised below
+            errors[index] = error
+
+    threads = [
+        threading.Thread(target=client, args=(i,)) for i in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
 
 
 def wait_all_terminal(url, job_ids, timeout_s=120.0):
@@ -105,21 +137,12 @@ class TestConcurrentClients:
             # while the worker is pinned, so every outcome is forced:
             # the identical twelve MUST share one job id.
             payloads = [spec(7)] * 12 + [spec(seed) for seed in range(6)]
-            results = [None] * len(payloads)
-
-            def client(index):
-                results[index] = post_json(
+            results = run_clients(
+                lambda index: post_json(
                     service.url + "/v1/search", payloads[index]
-                )
-
-            threads = [
-                threading.Thread(target=client, args=(i,))
-                for i in range(len(payloads))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+                ),
+                len(payloads),
+            )
             assert all(status == 202 for status, _ in results)
 
             identical_ids = {
@@ -163,17 +186,13 @@ class TestConcurrentClients:
         registry = MetricsRegistry()
         service = MappingService(registry, workers=1)
         with service:
-            # Scalar path: it stores EVERY evaluation in the shared cache
-            # (the batch path deliberately stores only improvements), so
-            # the rerun's hit-rate floor is a hard guarantee.
-            payload = spec(31, max_evaluations=400, use_batch=False)
+            payload = spec(31, max_evaluations=400)
             _, first = post_json(service.url + "/v1/search", payload)
             states = wait_all_terminal(service.url, [first["job_id"]])
             assert states[first["job_id"]] == "ok"
             # The job finished, so an identical request is NEW work —
             # but it replays the same seeded draws against the warm
-            # cache, so (almost) every evaluation is a hit and the
-            # result is bit-identical.
+            # cache, so the result is bit-identical.
             _, second = post_json(service.url + "/v1/search", payload)
             assert second["coalesced"] is False
             assert second["job_id"] != first["job_id"]
@@ -188,10 +207,15 @@ class TestConcurrentClients:
                 first_body["result"]["best"]["edp"]
                 == second_body["result"]["best"]["edp"]
             )
+            # The batch engine stores only improvements (and rows it
+            # priced scalar), and every candidate costs one lookup. Each
+            # entry the first run stored is drawn again at the same
+            # position of the replay, so each one is a hit there.
+            stored = first_body["result"]["stats"]["cache"]["size"]
             cache = second_body["result"]["stats"].get("cache")
             assert cache is not None
-            assert cache["hit_rate"] is not None
-            assert cache["hit_rate"] >= 0.5
+            assert stored >= 1
+            assert cache["hits"] >= stored
 
     def test_progress_is_monotone_and_owned_per_job(self):
         registry = MetricsRegistry()
@@ -218,6 +242,33 @@ class TestConcurrentClients:
             assert observed == sorted(observed), (
                 "per-job completed_units went backwards"
             )
+
+
+class TestListenBacklog:
+    def test_burst_of_connects_under_cpu_load_all_answered(self):
+        """64 simultaneous connects while a CPU hog competes for the cores.
+
+        A starved accept loop lets connects pile up in the listen backlog;
+        one shorter than the burst makes the kernel reset the surplus.
+        """
+        hog = subprocess.Popen([sys.executable, "-c", "while True: pass"])
+        try:
+            service = MappingService(MetricsRegistry(), workers=1)
+            with service:
+                url = service.url + "/healthz"
+
+                # A fitting backlog answers the burst in about a second;
+                # an overflowed one leaves connects waiting on SYN
+                # retransmits for tens of seconds, or resets them.
+                def probe(_index):
+                    with urllib.request.urlopen(url, timeout=15) as response:
+                        return response.status, response.read()
+
+                results = run_clients(probe, 64)
+        finally:
+            hog.kill()
+            hog.wait()
+        assert results == [(200, b"ok\n")] * 64
 
 
 class TestProgressOwnershipIsolation:
