@@ -4,8 +4,10 @@ Acceptance criteria from the batch-engine PR:
 
 * the toy exhaustive sweep must run at >= 5x the scalar evaluator's
   mappings/sec through the batch path, and
-* batched random search on a real ResNet-50 layer must be no slower than
-  a loop pricing the same draws one at a time,
+* batched random search on a real ResNet-50 layer, which draws straight
+  into batch columns, must run at >= 2.25x a loop that draws the same
+  stream as ``Mapping`` objects and prices them one at a time (about half
+  the 4.5-5.1x measured on a 2-core x86-64 container),
 
 with results bit-identical in both cases (asserted here too — a fast
 wrong answer is not a speedup). The scalar baseline is a test-local
@@ -111,7 +113,7 @@ def test_toy_exhaustive_sweep_5x(benchmark):
 
 
 def test_resnet_layer_random_search_not_slower(benchmark):
-    """Batch >= scalar throughput on a real conv layer's random search."""
+    """Batch >= 2.25x scalar throughput on a real conv layer's random search."""
     arch = eyeriss_like()
     by_name = {layer.name: layer for layer, _ in RESNET50_LAYERS}
     workload = by_name["conv3_3x3"].workload()
@@ -129,11 +131,16 @@ def test_resnet_layer_random_search_not_slower(benchmark):
         ).run()
 
     def scalar_search():
+        # The object sampler (chains, then loop-nest assembly) draws the
+        # same stream the columnar sampler does, one Mapping at a time.
         mapspace = make_mapspace(arch, workload, "ruby-s", constraints)
         rng = make_rng(17)
         return _scalar_loop(
             Evaluator(arch, workload),
-            (mapspace.sample(rng) for _ in range(draws)),
+            (
+                mapspace.assemble(mapspace.sample_chains(rng), rng)
+                for _ in range(draws)
+            ),
         )
 
     rounds = 2
@@ -159,7 +166,7 @@ def test_resnet_layer_random_search_not_slower(benchmark):
             "speedup": round(speedup, 2),
         },
     )
-    assert batched_rate >= scalar_rate
+    assert speedup >= 2.25
 
 
 def test_results_file_is_valid_json():

@@ -64,6 +64,17 @@ def assign_remainders(size: int, bounds_outer_to_inner: Sequence[int]) -> Tuple[
     return tuple(reversed(remainders_inner_to_outer))
 
 
+#: Entries a chain-drawer memo holds before it is cleared, which bounds
+#: the memory of very long searches over large imperfect spaces.
+MEMO_LIMIT = 1 << 15
+
+
+def _memoize(memo: Dict, key, value) -> None:
+    if len(memo) >= MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+
+
 class DimAllocator:
     """Allocates per-dimension bounds over a slot skeleton.
 
@@ -92,6 +103,9 @@ class DimAllocator:
         self.spatial_imperfect = spatial_imperfect
         self.temporal_imperfect = temporal_imperfect
         self.sampling = sampling
+        self._plans: Dict[str, Tuple[Tuple[int, bool, bool], ...]] = {}
+        self._divisor_memo: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        self._remainder_memo: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
 
     def _slot_is_imperfect(self, slot: Slot) -> bool:
         return self.spatial_imperfect if slot.spatial else self.temporal_imperfect
@@ -106,70 +120,107 @@ class DimAllocator:
         """Sample one bound chain for ``dim``; mutates ``spatial_budgets``.
 
         ``spatial_budgets`` maps slot list indices to the remaining fanout
-        available at each spatial slot (shared across dimensions).
+        available at each spatial slot (shared across dimensions; a missing
+        spatial slot has budget 1).
         """
-        num_slots = len(self.slots)
-        bounds_inner_to_outer: List[int] = []
-        residue = size
-        for offset in range(num_slots - 1, -1, -1):
-            slot = self.slots[offset]
-            outermost = offset == 0
-            if outermost:
-                bound = residue
-                residue = 1
-            else:
-                bound = self._sample_bound(
-                    slot, dim, residue, rng, spatial_budgets.get(offset, 1)
-                )
-                residue = self._advance(slot, residue, bound)
-            if slot.spatial and bound > 1:
-                spatial_budgets[offset] = spatial_budgets.get(offset, 1) // bound
-            bounds_inner_to_outer.append(bound)
-        bounds = tuple(reversed(bounds_inner_to_outer))
-        remainders = assign_remainders(size, bounds)
+        budgets = [spatial_budgets.get(offset, 1) for offset in range(len(self.slots))]
+        bounds, remainders = self.draw(dim, size, rng, budgets)
+        for offset, slot in enumerate(self.slots):
+            if slot.spatial and bounds[offset] > 1:
+                spatial_budgets[offset] = budgets[offset]
         return DimChain(dim=dim, bounds=bounds, remainders=remainders)
 
-    def _sample_bound(
-        self,
-        slot: Slot,
-        dim: str,
-        residue: int,
-        rng: random.Random,
-        spatial_budget: int,
-    ) -> int:
-        if residue == 1 or not slot.allows(dim):
-            return 1
-        cap = residue
-        if slot.spatial:
-            cap = min(cap, max(1, spatial_budget))
-        if self._slot_is_imperfect(slot):
-            return self._sample_imperfect_bound(residue, cap, rng)
-        options = [d for d in divisors(residue) if d <= cap]
-        return rng.choice(options)
+    def draw(
+        self, dim: str, size: int, rng: random.Random, budgets: List[int]
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Draw one chain's outer-to-inner bounds and remainders; mutates
+        ``budgets``.
 
-    def _sample_imperfect_bound(
-        self, residue: int, cap: int, rng: random.Random
-    ) -> int:
-        """Sample an imperfect bound from ``[1, cap]``.
+        The chain drawer shared by :meth:`sample_chain` and the columnar
+        sampler (:meth:`MapSpace.sample_batch`). ``budgets`` is indexed by
+        slot offset and holds the fanout left at each spatial slot.
 
-        In ``"structured"`` mode (default) the range is sampled with extra
-        density on its high-value regions — divisors of the residue (the
-        perfect sub-space, so Ruby never converges slower than PFM merely
-        for lack of samples) and the cap itself (the utilization-maximizing
-        choice imperfect factorization exists to reach). Every value in
-        ``[1, cap]`` remains reachable, so the mapspace itself is
-        unchanged; only sampling density differs. ``"uniform"`` mode keeps
-        a flat distribution (the ablation baseline).
+        Slots are visited inner to outer with a running residue. A slot
+        whose dim is disallowed, or reached once the residue is 1, takes
+        bound 1 without touching the RNG; the outermost slot absorbs the
+        residue. Every other slot draws from ``[1, cap]`` (``cap`` is the
+        residue, clipped to the budget at spatial slots):
+
+        * an exact slot picks uniformly among the divisors of the residue
+          up to ``cap``;
+        * an imperfect slot in ``"uniform"`` mode picks uniformly from
+          ``[1, cap]``;
+        * an imperfect slot in ``"structured"`` mode (default) adds density
+          on the high-value regions: 40% uniform, 40% a divisor of the
+          residue (the perfect sub-space, so Ruby never converges slower
+          than PFM merely for lack of samples), 20% the cap itself (the
+          utilization-maximizing choice imperfect factorization exists to
+          reach). Every value stays reachable; only density differs.
+
+        The RNG calls are exactly those of ``rng.randint(1, cap)`` and
+        ``rng.choice(options)`` (both reduce to one ``_randbelow``), so the
+        stream matches the object sampler's draw for draw.
         """
-        if self.sampling == "uniform":
-            return rng.randint(1, cap)
-        roll = rng.random()
-        if roll < 0.4:
-            return rng.randint(1, cap)
-        if roll < 0.8:
-            options = [d for d in divisors(residue) if d <= cap]
-            return rng.choice(options)
-        return cap
+        randbelow = rng._randbelow
+        divisor_memo = self._divisor_memo
+        plan = self._plans.get(dim)
+        if plan is None:
+            plan = self._plan(dim)
+        bounds = [1] * len(self.slots)
+        residue = size
+        for offset, spatial, imperfect in plan:
+            if residue == 1:
+                break
+            cap = residue
+            if spatial:
+                cap = min(residue, max(1, budgets[offset]))
+            if imperfect and self.sampling == "uniform":
+                bound = 1 + randbelow(cap)
+            elif imperfect:
+                roll = rng.random()
+                if roll < 0.4:
+                    bound = 1 + randbelow(cap)
+                elif roll < 0.8:
+                    options = divisor_memo.get(
+                        (residue, cap)
+                    ) or self._divisors_upto(residue, cap)
+                    bound = options[randbelow(len(options))]
+                else:
+                    bound = cap
+            else:
+                options = divisor_memo.get(
+                    (residue, cap)
+                ) or self._divisors_upto(residue, cap)
+                bound = options[randbelow(len(options))]
+            if bound > 1:
+                bounds[offset] = bound
+                residue = -(-residue // bound)
+                if spatial:
+                    budgets[offset] //= bound
+        bounds[0] = residue
+        chain = tuple(bounds)
+        remainders = self._remainder_memo.get((size, chain))
+        if remainders is None:
+            remainders = assign_remainders(size, chain)
+            _memoize(self._remainder_memo, (size, chain), remainders)
+        return chain, remainders
+
+    def _plan(self, dim: str) -> Tuple[Tuple[int, bool, bool], ...]:
+        """Build and cache ``(offset, spatial, imperfect)`` of the slots
+        ``dim`` may use, inner to outer, outermost excluded."""
+        plan = tuple(
+            (offset, slot.spatial, self._slot_is_imperfect(slot))
+            for offset, slot in reversed(list(enumerate(self.slots)))
+            if offset > 0 and slot.allows(dim)
+        )
+        self._plans[dim] = plan
+        return plan
+
+    def _divisors_upto(self, residue: int, cap: int) -> Tuple[int, ...]:
+        """Build and memoize the divisors of ``residue`` not above ``cap``."""
+        options = tuple(d for d in divisors(residue) if d <= cap)
+        _memoize(self._divisor_memo, (residue, cap), options)
+        return options
 
     @staticmethod
     def _advance(slot: Slot, residue: int, bound: int) -> int:

@@ -18,6 +18,7 @@ from repro.mapping.loop import Loop
 from repro.mapping.nest import LevelNest, Mapping
 from repro.mapspace.allocation import DimAllocator, DimChain
 from repro.mapspace.constraints import ConstraintSet
+from repro.mapspace.sampler import ColumnSampler
 from repro.mapspace.slots import Slot, build_slots
 from repro.obs import scope as _obs
 from repro.utils.rng import make_rng
@@ -94,6 +95,7 @@ class MapSpace:
                 sampling=sampling,
             )
         self._batch_layout = None
+        self._sampler = None
         self._dim_chain_menus: Optional[List[Tuple[str, Tuple[DimChain, ...]]]] = None
 
     def _initial_budgets(self) -> Dict[int, int]:
@@ -103,20 +105,22 @@ class MapSpace:
             if slot.spatial
         }
 
+    def sample_batch(self, rng: Optional[random.Random], n: int):
+        """Draw ``n`` mappings straight into a columnar
+        :class:`~repro.model.batch.MappingBatch` (see
+        :mod:`repro.mapspace.sampler`).
+
+        Row ``i`` equals the ``i``-th :meth:`sample` drawn from the same
+        stream, and the stream ends in the same state.
+        """
+        rng = make_rng(rng)
+        if self._sampler is None:
+            self._sampler = ColumnSampler(self)
+        return self._sampler.draw(rng, n)
+
     def sample(self, rng: Optional[random.Random] = None) -> Mapping:
         """Sample one mapping (bounds, remainders, permutations, bypass)."""
-        rng = make_rng(rng)
-        _obs.inc("mapspace.samples")
-        mapping = self.assemble(self.sample_chains(rng), rng)
-        if self.explore_bypass and self._bypass_candidates:
-            bypass = [
-                pair
-                for pair in self._bypass_candidates
-                if rng.random() < self.BYPASS_PROBABILITY
-            ]
-            if bypass:
-                mapping = mapping.with_bypass(bypass)
-        return mapping
+        return self.sample_batch(rng, 1).mapping_at(0)
 
     PERFECT_SEED_PROBABILITY = 0.15
 
@@ -277,13 +281,19 @@ class MapSpace:
         self, count: int, rng: Optional[random.Random] = None
     ) -> List[Mapping]:
         """Sample ``count`` mappings from one RNG stream."""
-        rng = make_rng(rng)
-        return [self.sample(rng) for _ in range(count)]
+        batch = self.sample_batch(rng, count)
+        return [batch.mapping_at(i) for i in range(count)]
 
     def assemble(
         self, chains: Dict[str, DimChain], rng: Optional[random.Random] = None
     ) -> Mapping:
-        """Build a Mapping from per-dim chains, ordering loops per level."""
+        """Build a Mapping from per-dim chains, ordering loops per level.
+
+        The object path genetic search, annealing and the branch-and-bound
+        warm start build on; ``assemble(sample_chains(rng), rng)`` plus the
+        bypass draws is also the oracle :meth:`sample_batch` is
+        stream-exact against.
+        """
         nests: List[LevelNest] = []
         for level_index, level in enumerate(self.arch.levels):
             temporal_loops: List[Loop] = []

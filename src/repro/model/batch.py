@@ -321,41 +321,83 @@ class BatchLayout:
         """Grid column holding a loop at ``(level, block, axis)``, if any."""
         return self._col_lookup.get((level_index, spatial, axis if spatial else 0))
 
-    def materialize(self, bounds_row: Any, rems_row: Any) -> Mapping:
-        """Rebuild the :class:`Mapping` a packed enumeration row encodes.
-
-        Inverse of the ``iter_batches`` packing: loops are emitted in
-        virtual grid order, which equals the order
-        :meth:`~repro.mapspace.generator.MapSpace.assemble` uses with
-        ``rng=None`` (temporal dims sorted by the fixed permutation then
-        dim order, spatial blocks in column/dim order).
-        """
-        nests: List[LevelNest] = []
+    def _row_levels(self, bounds_row: Any, rems_row: Any, pos_row: Any):
+        """Per level, the nontrivial ``(column, dim, bound, remainder)``
+        cells of one row as (temporal, spatial) lists in nest order."""
+        bounds = bounds_row.tolist()
+        rems = rems_row.tolist()
+        pos = pos_row.tolist()
         for level_index, level_name in enumerate(self.level_names):
-            temporal: List[Loop] = []
-            spatial: List[Loop] = []
+            temporal = []
+            spatial = []
             for offset, d in self.grid_cells_by_level[level_index]:
-                bound = int(bounds_row[offset, d])
-                remainder = int(rems_row[offset, d])
+                bound = bounds[offset][d]
+                remainder = rems[offset][d]
                 if bound == 1 and remainder == 1:
                     continue
-                column = self.columns[offset]
-                loop = Loop(
-                    self.dims[d],
-                    bound,
-                    remainder,
-                    spatial=column.spatial,
-                    axis=column.axis,
-                )
-                (spatial if column.spatial else temporal).append(loop)
+                cell = (pos[offset][d], offset, d, bound, remainder)
+                (spatial if self.col_spatial[offset] else temporal).append(cell)
+            temporal.sort()
+            spatial.sort()
+            yield level_name, temporal, spatial
+
+    def materialize(self, bounds_row: Any, rems_row: Any, pos_row: Any) -> Mapping:
+        """Rebuild the :class:`Mapping` one packed row encodes.
+
+        Each level's temporal and spatial loops are emitted in the order of
+        the row's ``pos``. Enumerated rows carry the virtual grid numbering,
+        which reproduces what
+        :meth:`~repro.mapspace.generator.MapSpace.assemble` builds with
+        ``rng=None``; sampled and packed rows carry real nest positions.
+        """
+        nests: List[LevelNest] = []
+        dims = self.dims
+        axes = self.col_axis
+        for level_name, temporal, spatial in self._row_levels(
+            bounds_row, rems_row, pos_row
+        ):
             nests.append(
                 LevelNest(
                     level_name=level_name,
-                    temporal=tuple(temporal),
-                    spatial=tuple(spatial),
+                    temporal=tuple(
+                        Loop(dims[d], bound, remainder)
+                        for _, _, d, bound, remainder in temporal
+                    ),
+                    spatial=tuple(
+                        Loop(dims[d], bound, remainder, True, axes[c])
+                        for _, c, d, bound, remainder in spatial
+                    ),
                 )
             )
         return Mapping(levels=tuple(nests))
+
+    def row_signature(self, bounds_row: Any, rems_row: Any, pos_row: Any) -> Tuple:
+        """:meth:`Mapping.signature` of the row, built without ``Loop``
+        objects (a row without a bypass set; fallback rows keep theirs)."""
+        dims = self.dims
+        axes = self.col_axis
+        key = []
+        for level_name, temporal, spatial in self._row_levels(
+            bounds_row, rems_row, pos_row
+        ):
+            spatial_key = tuple(
+                (dims[d], bound, remainder, axes[c])
+                for _, c, d, bound, remainder in spatial
+            )
+            if all(cell[3] == cell[4] for cell in spatial):
+                spatial_key = tuple(sorted(spatial_key))
+            key.append(
+                (
+                    level_name,
+                    tuple(
+                        (dims[d], bound, remainder)
+                        for _, _, d, bound, remainder in temporal
+                    ),
+                    spatial_key,
+                )
+            )
+        key.append(())
+        return tuple(key)
 
 
 @dataclass
@@ -367,6 +409,13 @@ class MappingBatch:
     ``(1, 1, -1)``. ``fallback`` flags rows the columnar grid cannot
     represent (bypass sets, misaligned levels, duplicate cells); those are
     priced by the scalar evaluator instead.
+
+    Rows come from three sources: :meth:`MapSpace.iter_prefix_batches`
+    (enumeration, virtual grid positions), :meth:`MapSpace.sample_batch`
+    (random sampling, real positions) and :func:`pack_mappings` (existing
+    ``Mapping`` objects). ``mappings`` keeps the original ``Mapping`` of
+    some rows by row index: every row of a packed batch, the fallback rows
+    of a sampled one; any other row is rebuilt from its columns on demand.
     """
 
     layout: BatchLayout
@@ -374,7 +423,7 @@ class MappingBatch:
     rems: Any
     pos: Any
     fallback: Any
-    mappings: Optional[List[Mapping]] = None
+    mappings: Optional[Dict[int, Mapping]] = None
     #: Optional per-row provenance stamped by
     #: :meth:`MapSpace.iter_prefix_batches` (the source prefix's tag);
     #: pricing kernels ignore it.
@@ -386,9 +435,40 @@ class MappingBatch:
 
     def mapping_at(self, index: int) -> Mapping:
         """The ``Mapping`` object of row ``index`` (rebuilt if not stored)."""
-        if self.mappings is not None:
+        if self.mappings and index in self.mappings:
             return self.mappings[index]
-        return self.layout.materialize(self.bounds[index], self.rems[index])
+        return self.layout.materialize(
+            self.bounds[index], self.rems[index], self.pos[index]
+        )
+
+    def signature(self, index: int) -> Tuple:
+        """``mapping_at(index).signature()``, without building the mapping
+        unless it is stored."""
+        if self.mappings and index in self.mappings:
+            return self.mappings[index].signature()
+        return self.layout.row_signature(
+            self.bounds[index], self.rems[index], self.pos[index]
+        )
+
+    def take(self, rows: Sequence[int]) -> "MappingBatch":
+        """A batch of the given rows, in the given order."""
+        index = np.asarray(rows, dtype=np.intp)
+        mappings = None
+        if self.mappings:
+            mappings = {
+                new: self.mappings[old]
+                for new, old in enumerate(rows)
+                if old in self.mappings
+            }
+        return MappingBatch(
+            layout=self.layout,
+            bounds=self.bounds[index],
+            rems=self.rems[index],
+            pos=self.pos[index],
+            fallback=self.fallback[index],
+            mappings=mappings,
+            tags=self.tags[index] if self.tags is not None else None,
+        )
 
     def to_shared(self, allow_shm: bool = True):
         """Ship this batch's SoA arrays through one shared-memory segment.
@@ -404,7 +484,7 @@ class MappingBatch:
         """
         from repro.model.shm import ShmArrayBundle
 
-        if self.mappings is not None and bool(self.fallback.any()):
+        if self.mappings and bool(self.fallback.any()):
             raise ValueError(
                 "cannot transport a batch whose fallback rows need their "
                 "original Mapping objects; re-pack without fallback rows"
@@ -500,7 +580,7 @@ def pack_mappings(layout: BatchLayout, mappings: Sequence[Mapping]) -> MappingBa
         rems=rems,
         pos=pos,
         fallback=fallback,
-        mappings=list(mappings),
+        mappings=dict(enumerate(mappings)),
     )
 
 
@@ -776,56 +856,77 @@ class BatchEvaluator:
         incumbent: float = float("inf"),
         prune: bool = False,
     ) -> List[CandidateOutcome]:
-        """Price a list of ``Mapping`` objects through the batch engine.
+        """Price a list of ``Mapping`` objects: :meth:`evaluate_rows` of
+        their :func:`pack_mappings` batch."""
+        return self.evaluate_rows(
+            pack_mappings(self.layout, mappings),
+            objective=objective,
+            incumbent=incumbent,
+            prune=prune,
+        )
 
-        With a cache attached to the wrapped evaluator, every candidate
-        costs exactly one cache lookup; hits bypass the kernels entirely.
-        Misses are packed and priced vectorized — only improvements and
-        fallback rows are re-priced scalar (and stored), so a batched
-        search fills the cache more sparsely than a scalar one. On an
-        unsupported engine each candidate goes through
-        :meth:`Evaluator.evaluate` instead, so every miss is stored.
+    def evaluate_rows(
+        self,
+        batch: MappingBatch,
+        objective: str = "edp",
+        incumbent: float = float("inf"),
+        prune: bool = False,
+    ) -> List[CandidateOutcome]:
+        """Price every row of ``batch``, one outcome per row.
+
+        With a cache attached to the wrapped evaluator, every row costs
+        exactly one cache lookup, keyed by :meth:`MappingBatch.signature`;
+        hits bypass the kernels entirely (their outcome carries the
+        evaluation, re-pointed at the row's ``Mapping``). Misses are
+        priced vectorized — only improvements and fallback rows are
+        re-priced scalar (and stored), so a batched search fills the cache
+        more sparsely than a scalar one. On an unsupported engine each row
+        goes through :meth:`Evaluator.evaluate` instead, so every miss is
+        stored.
         """
         if not self.supported:
             outcomes = [
-                self._outcome(self.evaluator.evaluate(mapping), objective)
-                for mapping in mappings
+                self._outcome(
+                    self.evaluator.evaluate(batch.mapping_at(i)), objective
+                )
+                for i in range(batch.size)
             ]
-            self._record(len(mappings), 0, len(mappings))
+            self._record(batch.size, 0, batch.size)
             return outcomes
         cache = self.evaluator.cache
-        results: List[Optional[CandidateOutcome]] = [None] * len(mappings)
-        misses: List[Mapping] = []
-        miss_rows: List[int] = []
-        for i, mapping in enumerate(mappings):
-            if cache is not None:
-                hit = cache.get(mapping.signature())
-                if hit is not None:
-                    if hit.mapping is not mapping:
-                        hit = replace(hit, mapping=mapping)
-                    results[i] = self._outcome(hit, objective)
+        results: List[Optional[CandidateOutcome]] = [None] * batch.size
+        rows: Sequence[int] = range(batch.size)
+        if cache is not None:
+            rows = []
+            for i in range(batch.size):
+                hit = cache.get(batch.signature(i))
+                if hit is None:
+                    rows.append(i)
                     continue
-            misses.append(mapping)
-            miss_rows.append(i)
-        if misses:
-            batch = pack_mappings(self.layout, misses)
-            outcome = self.evaluate_batch(
-                batch, objective=objective, incumbent=incumbent, prune=prune
+                mapping = batch.mapping_at(i)
+                if hit.mapping is not mapping:
+                    hit = replace(hit, mapping=mapping)
+                results[i] = self._outcome(hit, objective)
+            if rows and len(rows) < batch.size:
+                batch = batch.take(rows)
+        if not rows:
+            return results  # type: ignore[return-value]
+        outcome = self.evaluate_batch(
+            batch, objective=objective, incumbent=incumbent, prune=prune
+        )
+        for row, i in enumerate(rows):
+            valid = bool(outcome.valid[row])
+            live = valid and not bool(outcome.pruned[row])
+            results[i] = CandidateOutcome(
+                valid=valid,
+                pruned=bool(outcome.pruned[row]),
+                metric=float(outcome.metric[row]),
+                evaluation=outcome.evaluations.get(row),
+                energy_pj=float(outcome.energy_pj[row]) if live else None,
+                cycles=int(outcome.cycles[row]) if live else None,
+                utilization=float(outcome.utilization[row]) if live else None,
             )
-            for row, i in enumerate(miss_rows):
-                live = bool(outcome.valid[row]) and not bool(outcome.pruned[row])
-                results[i] = CandidateOutcome(
-                    valid=bool(outcome.valid[row]),
-                    pruned=bool(outcome.pruned[row]),
-                    metric=float(outcome.metric[row]),
-                    evaluation=outcome.evaluations.get(row),
-                    energy_pj=float(outcome.energy_pj[row]) if live else None,
-                    cycles=int(outcome.cycles[row]) if live else None,
-                    utilization=(
-                        float(outcome.utilization[row]) if live else None
-                    ),
-                )
-        return [result for result in results if result is not None]
+        return results  # type: ignore[return-value]
 
     @staticmethod
     def _outcome(evaluation: Evaluation, objective: str) -> CandidateOutcome:

@@ -9,6 +9,7 @@ accumulate (or, generally, one compute operation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.exceptions import SpecError
@@ -85,16 +86,24 @@ class Workload:
         """Return ``{dim: size}`` as a fresh dict."""
         return dict(self.dims)
 
-    @property
+    # The two lookups below are computed once per instance. A
+    # ``cached_property`` stores into the instance ``__dict__``, outside
+    # the dataclass fields, so equality, hashing and serde never see it.
+
+    @cached_property
     def dim_names(self) -> Tuple[str, ...]:
         return tuple(dim for dim, _ in self.dims)
 
+    @cached_property
+    def _size_of(self) -> Dict[str, int]:
+        return dict(self.dims)
+
     def size(self, dim: str) -> int:
         """Size of a single dimension."""
-        for name, size in self.dims:
-            if name == dim:
-                return size
-        raise KeyError(f"workload {self.name} has no dimension {dim}")
+        try:
+            return self._size_of[dim]
+        except KeyError:
+            raise KeyError(f"workload {self.name} has no dimension {dim}") from None
 
     @property
     def total_operations(self) -> int:

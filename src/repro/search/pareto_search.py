@@ -81,10 +81,12 @@ class ParetoSearch:
         evaluator: prices each mapping.
         max_evaluations: sampling budget.
         seed: RNG seed or generator.
-        batch_size: candidates per chunk priced through the
-            :class:`~repro.model.batch.BatchEvaluator`. Sampling consumes
-            the RNG stream one draw at a time and evaluation consumes none,
-            so the chunk size never changes which candidates are visited.
+        batch_size: candidates per chunk, drawn straight into batch
+            columns by :meth:`MapSpace.sample_batch` and priced through the
+            :class:`~repro.model.batch.BatchEvaluator`. The sampler is
+            stream-exact with one-at-a-time draws and evaluation consumes
+            no randomness, so the chunk size never changes which
+            candidates are visited.
     """
 
     def __init__(
@@ -128,14 +130,12 @@ class ParetoSearch:
         remaining = self.max_evaluations
         while remaining > 0:
             chunk_size = min(self.batch_size, remaining)
-            mappings = [
-                self.mapspace.sample(self.rng) for _ in range(chunk_size)
-            ]
-            outcomes = engine.evaluate_mappings(mappings, prune=False)
+            batch = self.mapspace.sample_batch(self.rng, chunk_size)
+            outcomes = engine.evaluate_rows(batch, prune=False)
             result.num_evaluated += chunk_size
             timer.progress.advance(chunk_size)
             remaining -= chunk_size
-            for mapping, outcome in zip(mappings, outcomes):
+            for row, outcome in enumerate(outcomes):
                 if not outcome.valid:
                     continue
                 result.num_valid += 1
@@ -149,7 +149,9 @@ class ParetoSearch:
                 # entrants — dominated candidates never leave the batch.
                 evaluation = outcome.evaluation
                 if evaluation is None:
-                    evaluation = self.evaluator.evaluate_fresh(mapping)
+                    evaluation = self.evaluator.evaluate_fresh(
+                        batch.mapping_at(row)
+                    )
                 if self._admit(frontier, evaluation):
                     timer.progress.improved(float(len(frontier)))
         return frontier

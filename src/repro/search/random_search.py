@@ -42,10 +42,14 @@ class RandomSearch:
             mappings; ``None`` disables the criterion. Defaults to the
             paper's 3000.
         seed: RNG seed or generator for reproducibility.
-        batch_size: candidates priced per batch. Draws, metrics,
-            improvements, and termination do not depend on it: chunks are
-            bounded by the remaining patience, so the RNG stream never
-            runs ahead of a one-at-a-time loop.
+        batch_size: candidates drawn and priced per batch. Each chunk is
+            drawn straight into batch columns by
+            :meth:`MapSpace.sample_batch`, stream-exact with drawing the
+            same mappings one at a time; ``Mapping`` objects are built only
+            for improvements, cache hits and bypass rows. Draws, metrics,
+            improvements, and termination do not depend on the chunk size:
+            chunks are bounded by the remaining patience, so the RNG stream
+            never runs ahead of a one-at-a-time loop.
         batch_engine: optional pre-built (or shared)
             :class:`~repro.model.batch.BatchEvaluator` matching this
             mapspace's layout; built from ``evaluator`` when omitted.
@@ -104,11 +108,9 @@ class RandomSearch:
                     room = min(room, self.patience - consecutive_non_improving)
                 chunk = max(1, min(self.batch_size, room))
                 with obs.trace("search.batch", size=chunk):
-                    mappings = [
-                        self.mapspace.sample(self.rng) for _ in range(chunk)
-                    ]
-                    outcomes = engine.evaluate_mappings(
-                        mappings,
+                    batch = self.mapspace.sample_batch(self.rng, chunk)
+                    outcomes = engine.evaluate_rows(
+                        batch,
                         objective=self.objective,
                         incumbent=best_metric,
                         prune=True,
@@ -116,7 +118,7 @@ class RandomSearch:
                 obs.inc("search.candidates", chunk, driver="random")
                 timer.progress.advance(chunk)
                 stop = False
-                for mapping, outcome in zip(mappings, outcomes):
+                for row, outcome in enumerate(outcomes):
                     evaluations += 1
                     if not outcome.valid:
                         continue
@@ -124,7 +126,9 @@ class RandomSearch:
                     if not outcome.pruned and outcome.metric < best_metric:
                         evaluation = outcome.evaluation
                         if evaluation is None:
-                            evaluation = self.evaluator.evaluate_fresh(mapping)
+                            evaluation = self.evaluator.evaluate_fresh(
+                                batch.mapping_at(row)
+                            )
                         best = evaluation
                         best_metric = outcome.metric
                         consecutive_non_improving = 0

@@ -92,14 +92,20 @@ class SharedBatchEngine:
 
     The batch engine mutates its own counters and scratch state per call,
     so concurrent searches sharing one engine must not interleave inside
-    ``evaluate_mappings``. A plain lock suffices: batch calls are long
-    enough that contention is amortized, and the shared evaluation cache
-    means the *second* search through a region mostly hits anyway.
+    any of its pricing entry points: ``evaluate_rows`` (what random search
+    calls), ``evaluate_mappings`` and ``evaluate_batch``. A plain lock
+    suffices: batch calls are long enough that contention is amortized,
+    and the shared evaluation cache means the *second* search through a
+    region mostly hits anyway.
     """
 
     def __init__(self, engine: Any) -> None:
         self._engine = engine
         self._lock = threading.Lock()
+
+    def evaluate_rows(self, *args: Any, **kwargs: Any) -> Any:
+        with self._lock:
+            return self._engine.evaluate_rows(*args, **kwargs)
 
     def evaluate_mappings(self, *args: Any, **kwargs: Any) -> Any:
         with self._lock:

@@ -223,7 +223,9 @@ class ServiceJob:
         self, job_id: str, spec: SearchSpec, seq: int
     ) -> None:
         self.id = job_id
-        self.spec = spec
+        #: The parsed request; released once the job is terminal.
+        self.spec: Optional[SearchSpec] = spec
+        self.signature = spec.signature
         self.seq = seq
         self.priority = spec.priority
         self.state = "queued"
@@ -237,12 +239,17 @@ class ServiceJob:
         self.attached = 0
 
     @property
-    def signature(self) -> str:
-        return self.spec.signature
-
-    @property
     def terminal(self) -> bool:
         return self.state in ("ok", "failed", "cancelled")
+
+    def finish(self, state: str, finished_monotonic: float) -> None:
+        """Enter terminal ``state``. The parsed spec (architecture,
+        workload and their serde dicts) is most of a job's memory and no
+        route reads it after the search, so it is released here; finished
+        jobs keep only what ``GET /v1/jobs/<id>`` serves."""
+        self.state = state
+        self.finished_monotonic = finished_monotonic
+        self.spec = None
 
     def queue_wait_s(self) -> Optional[float]:
         if self.started_monotonic is None:
@@ -542,8 +549,7 @@ class JobManager:
                 )
                 error.http_status = 409
                 raise error
-            job.state = "cancelled"
-            job.finished_monotonic = time.monotonic()
+            job.finish("cancelled", time.monotonic())
             self._inflight.pop(job.signature, None)
             obs.inc("service.cancelled")
         self._journal_terminal(job)
@@ -615,8 +621,7 @@ class JobManager:
                 status = "failed"
             finished = time.monotonic()
             with self._work:
-                job.state = status
-                job.finished_monotonic = finished
+                job.finish(status, finished)
                 self._inflight.pop(job.signature, None)
                 if status == "ok":
                     self.completed += 1

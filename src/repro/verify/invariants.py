@@ -21,6 +21,10 @@ answers are known a priori:
   the prefix-tree closed-form count and the number of rows the batched
   path packs — the differential check behind removing the scalar path's
   vestigial dedup set;
+* **Sampler stream parity** — the columnar sampler
+  (:meth:`MapSpace.sample_batch`) draws, row for row, the columns the
+  object path's mappings pack into, rebuilds the same mappings, and
+  leaves the RNG in the same state;
 * **Branch-bound parity** — the hierarchical branch-and-bound searcher
   finds the bit-identical best mapping (same signature, energy, and
   cycles) as exhaustive enumeration on toy and Eyeriss-preset mapspaces,
@@ -329,6 +333,105 @@ def check_enumeration_count_parity(seed: int = 0) -> Tuple[int, List[str]]:
     return checked, violations
 
 
+def _sampler_fixtures():
+    """(label, arch, workload) triples for sampler stream parity: a 1-D
+    toy fanout, Eyeriss and Simba (both with 2-D fanouts)."""
+    from repro.arch.eyeriss import eyeriss_like
+    from repro.arch.simba import simba_like
+
+    return [
+        (
+            "toy",
+            toy_glb_architecture(num_pes=6, glb_bytes=4096),
+            vector_workload("v100", 100),
+        ),
+        ("eyeriss", eyeriss_like(), GemmLayer("e", m=28, n=27, k=14).workload()),
+        ("simba", simba_like(), GemmLayer("s", m=12, n=10, k=8).workload()),
+    ]
+
+
+def _object_draw(space: MapSpace, rng: random.Random):
+    """One draw of the object path: chains, assembly, then bypass."""
+    mapping = space.assemble(space.sample_chains(rng), rng)
+    if space.explore_bypass and space._bypass_candidates:
+        bypass = [
+            pair
+            for pair in space._bypass_candidates
+            if rng.random() < space.BYPASS_PROBABILITY
+        ]
+        if bypass:
+            mapping = mapping.with_bypass(bypass)
+    return mapping
+
+
+def check_sampler_stream_parity(
+    seed: int = 0, rows: int = 24
+) -> Tuple[int, List[str]]:
+    """The columnar sampler is stream-exact against the object path.
+
+    For every fixture, kind, bypass setting, sampling mode and with or
+    without fixed permutations, ``sample_batch(rng, n)`` must produce the
+    columns :func:`pack_mappings` makes of the object path's ``n``
+    mappings bit for bit, rebuild each of them exactly with
+    ``mapping_at``, and leave the RNG in the same state.
+    """
+    from repro.mapspace.constraints import ConstraintSet
+    from repro.model.batch import pack_mappings
+
+    checked = 0
+    violations: List[str] = []
+    for label, arch, workload in _sampler_fixtures():
+        dims = workload.dim_names
+        fixed = ConstraintSet.build(
+            fixed_permutations={
+                arch.levels[0].name: tuple(reversed(dims)),
+                arch.levels[1].name: dims[-1:],
+            }
+        )
+        for kind in MapspaceKind:
+            for bypass in (False, True):
+                for sampling in DimAllocator.SAMPLING_MODES:
+                    for constraints in (None, fixed):
+                        checked += 1
+                        case = (
+                            f"sampler-stream-parity: {label}/{kind.value} "
+                            f"bypass={bypass} sampling={sampling} "
+                            f"fixed={constraints is not None}"
+                        )
+                        space = MapSpace(
+                            arch, workload, kind, constraints,
+                            sampling=sampling, explore_bypass=bypass,
+                        )
+                        oracle_rng = random.Random(seed)
+                        oracle = [
+                            _object_draw(space, oracle_rng)
+                            for _ in range(rows)
+                        ]
+                        rng = random.Random(seed)
+                        batch = space.sample_batch(rng, rows)
+                        packed = pack_mappings(space.batch_layout(), oracle)
+                        for name in ("bounds", "rems", "pos", "fallback"):
+                            ours = getattr(batch, name)
+                            theirs = getattr(packed, name)
+                            if ours.dtype != theirs.dtype or not (
+                                ours == theirs
+                            ).all():
+                                violations.append(
+                                    f"{case}: {name} columns differ from "
+                                    "pack_mappings of the object path"
+                                )
+                        for i, mapping in enumerate(oracle):
+                            if batch.mapping_at(i) != mapping:
+                                violations.append(
+                                    f"{case}: row {i} rebuilds "
+                                    f"{batch.mapping_at(i)} != {mapping}"
+                                )
+                                break
+                        if rng.getstate() != oracle_rng.getstate():
+                            violations.append(f"{case}: RNG states diverge")
+    return checked, violations
+
+
 def _parity_fixtures(seed: int):
     """(label, mapspace, evaluator) triples for branch-bound parity."""
     from repro.arch.eyeriss import eyeriss_like
@@ -524,6 +627,7 @@ INVARIANTS: Tuple[Tuple[str, Callable[[int], Tuple[int, List[str]]]], ...] = (
     ("cache-transparency", check_cache_transparency),
     ("prune-parity", check_prune_parity),
     ("count-parity", check_enumeration_count_parity),
+    ("sampler-stream-parity", check_sampler_stream_parity),
     ("branch-bound-parity", check_branch_bound_parity),
     ("seed-determinism", check_seed_determinism),
     ("start-method-determinism", check_parallel_start_methods),

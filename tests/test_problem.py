@@ -1,8 +1,11 @@
 """Unit tests for the problem package (tensors, workloads, conv, gemm)."""
 
+import pickle
+
 import pytest
 
 from repro.exceptions import SpecError
+from repro.io.serde import workload_from_dict, workload_to_dict
 from repro.problem import (
     ConvLayer,
     GemmLayer,
@@ -130,6 +133,20 @@ class TestWorkload:
     def test_describe_mentions_sizes(self, small_gemm):
         text = small_gemm.describe()
         assert "M=12" in text and "MACs" in text
+
+    def test_cached_lookups_leave_identity_unchanged(self, small_gemm):
+        """The memoized dim lookups stay out of equality, hashing and serde."""
+        twin = GemmLayer("small_gemm", m=12, n=10, k=8).workload()
+        before = (hash(small_gemm), workload_to_dict(small_gemm))
+        assert small_gemm.dim_names == ("M", "N", "K")
+        assert small_gemm.dim_names is small_gemm.dim_names
+        assert [small_gemm.size(d) for d in small_gemm.dim_names] == [12, 10, 8]
+        assert small_gemm == twin and hash(small_gemm) == hash(twin)
+        assert (hash(small_gemm), workload_to_dict(small_gemm)) == before
+        restored = workload_from_dict(workload_to_dict(small_gemm))
+        assert restored == small_gemm and hash(restored) == hash(small_gemm)
+        assert restored.dim_names == small_gemm.dim_names
+        assert pickle.loads(pickle.dumps(small_gemm)) == small_gemm
 
 
 class TestConvLayer:

@@ -23,7 +23,7 @@ import urllib.request
 import pytest
 
 from repro.arch import toy_linear_architecture
-from repro.core import find_best_mapping
+from repro.core import Mapper, MapperConfig, find_best_mapping
 from repro.exceptions import (
     AdmissionError,
     ReproError,
@@ -244,6 +244,38 @@ class TestEvaluatorPool:
             pool.release(entry)
 
 
+    def test_random_job_on_pooled_cache_is_exact(self):
+        """One lookup per draw on the warm cache; results equal a direct
+        search bit for bit, cold and warm."""
+        pool = EvaluatorPool(max_entries=2)
+        arch, workload = self._pair()
+        config = MapperConfig(max_evaluations=400, patience=None, seed=7)
+        direct = find_best_mapping(
+            arch, workload, max_evaluations=400, patience=None, seed=7
+        )
+        lookups = 0
+        for _ in range(2):
+            entry, _ = pool.acquire(arch, workload)
+            try:
+                result = Mapper(
+                    entry.arch, entry.workload, config,
+                    evaluator=entry.evaluator, batch_engine=entry.engine,
+                ).run()
+            finally:
+                pool.release(entry)
+            lookups += result.num_evaluated
+            assert entry.cache.hits + entry.cache.misses == lookups
+            assert result.best == direct.best
+            assert result.best.edp == direct.best.edp
+            assert result.curve == direct.curve
+            assert result.num_evaluated == direct.num_evaluated
+            assert result.num_valid == direct.num_valid
+            assert result.terminated_by == direct.terminated_by
+        # The batch path stores only improvements, so the warm rerun hits
+        # on exactly those draws: the hit path ran and changed nothing.
+        assert entry.cache.hits > 0
+
+
 def _fake_result():
     return SearchResult(
         best=None,
@@ -288,6 +320,26 @@ class TestJobManagerScheduling:
                     break
                 time.sleep(0.01)
             assert manager.executed == [blocker.id, high.id, normal.id, low.id]
+        finally:
+            manager.release_gate.set()
+            manager.stop()
+
+    def test_terminal_jobs_release_their_spec(self):
+        manager = GatedManager(workers=1)
+        manager.start()
+        try:
+            done, _ = manager.submit(request_payload(seed=4))
+            manager.running_gate.wait(timeout=10)
+            queued, _ = manager.submit(request_payload(seed=5))
+            manager.cancel(queued.id)
+            manager.release_gate.set()
+            deadline = time.monotonic() + 20
+            while not done.terminal and time.monotonic() < deadline:
+                time.sleep(0.01)
+            for job, seed in ((done, 4), (queued, 5)):
+                assert job.terminal and job.spec is None
+                expected = parse_search_spec(request_payload(seed=seed))
+                assert job.payload()["signature"] == expected.signature
         finally:
             manager.release_gate.set()
             manager.stop()
