@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.arch.spec import Architecture
 from repro.exceptions import MapspaceError
@@ -20,6 +23,7 @@ from repro.mapspace.allocation import DimAllocator, DimChain
 from repro.mapspace.constraints import ConstraintSet
 from repro.mapspace.sampler import ColumnSampler
 from repro.mapspace.slots import Slot, build_slots
+from repro.model.batch import MappingBatch
 from repro.obs import scope as _obs
 from repro.utils.rng import make_rng
 
@@ -97,6 +101,7 @@ class MapSpace:
         self._batch_layout = None
         self._sampler = None
         self._dim_chain_menus: Optional[List[Tuple[str, Tuple[DimChain, ...]]]] = None
+        self._menu_array_cache: Optional[List[Tuple[np.ndarray, ...]]] = None
 
     def _initial_budgets(self) -> Dict[int, int]:
         return {
@@ -413,7 +418,7 @@ class MapSpace:
         self,
         batch_size: int = 512,
         prefix: Optional[Dict[str, DimChain]] = None,
-    ) -> Iterator["object"]:
+    ) -> Iterator[MappingBatch]:
         """Exhaustively enumerate straight into packed columnar batches.
 
         The batch analogue of :meth:`enumerate_mappings` with
@@ -427,178 +432,219 @@ class MapSpace:
         demand via :meth:`MappingBatch.mapping_at`.
 
         ``prefix`` pins some dimensions to fixed chains and enumerates
-        only the completions — the leaf-pricing primitive of the
-        branch-and-bound searcher. The prefix dims keep their menu slot in
-        the product order, so iterating every prefix of one dimension
+        only the completions. The prefix dims keep their menu slot in the
+        product order, so iterating every prefix of one dimension
         reproduces the flat enumeration order exactly.
         """
         yield from self.iter_prefix_batches(
             [prefix or {}], batch_size=batch_size
         )
 
-    def partition_prefixes(
-        self, dims: Sequence[str]
-    ) -> List[Tuple[Tuple[int, ...], Dict[str, DimChain]]]:
+    def partition_prefixes(self, dims: Sequence[str]) -> List[Tuple[int, ...]]:
         """Partition the chain product into subtree work units over ``dims``.
 
         The cross product of the named dimensions' menus defines disjoint
         subtrees that jointly cover the whole enumerable space; units
         whose prefix already violates a joint fanout cap are dropped (no
-        completion of theirs is enumerable). Each surviving unit is
-        returned as ``(indices, prefix)`` — the menu-index tuple along
-        ``dims`` plus the pinned-chain dict ready for
-        :meth:`prefix_feasible` / :meth:`iter_prefix_batches` — so a
-        parallel driver can bound, order, and dispatch them as jobs while
-        workers reconstruct the same unit from the tiny index tuple.
+        completion of theirs is enumerable). Each surviving unit is its
+        menu-index tuple along ``dims``, so a parallel driver can bound,
+        order and dispatch units as jobs, and enumerate them with
+        :meth:`prefix_index_rows`.
         """
         menus = dict(self.dim_chain_menus())
         menu_list = [(dim, menus[dim]) for dim in dims]
-        units: List[Tuple[Tuple[int, ...], Dict[str, DimChain]]] = []
-        for combo in itertools.product(
-            *(range(len(menu)) for _, menu in menu_list)
-        ):
-            prefix = {
-                dim: menu[k] for (dim, menu), k in zip(menu_list, combo)
-            }
-            if not self.prefix_feasible(prefix):
-                continue
-            units.append((combo, prefix))
-        return units
+        return [
+            combo
+            for combo in itertools.product(
+                *(range(len(menu)) for _, menu in menu_list)
+            )
+            if self.prefix_feasible(
+                {dim: menu[k] for (dim, menu), k in zip(menu_list, combo)}
+            )
+        ]
+
+    #: Index rows expanded per chunk by :meth:`prefix_index_rows`: bounds
+    #: the enumeration's working memory whatever the product size.
+    INDEX_CHUNK_ROWS = 1 << 14
+
+    def prefix_index_rows(
+        self, pinned: Dict[str, int]
+    ) -> Iterator[np.ndarray]:
+        """Menu-index rows of every completion of ``pinned``, in chunks.
+
+        ``pinned`` maps dimensions to menu indices. Rows have one int64
+        column per workload dimension (menu indices into
+        :meth:`dim_chain_menus`) and come in C order over the free
+        dimensions, at most :attr:`INDEX_CHUNK_ROWS` at a time, so even a
+        10**10-cell product is never materialized.
+        """
+        menus = self.dim_chain_menus()
+        base = np.array(
+            [pinned.get(dim, 0) for dim, _ in menus], dtype=np.int64
+        )
+        free = [d for d, (dim, _) in enumerate(menus) if dim not in pinned]
+        shape = tuple(len(menus[d][1]) for d in free)
+        total = math.prod(shape)
+        for start in range(0, total, self.INDEX_CHUNK_ROWS):
+            flat = np.arange(
+                start, min(total, start + self.INDEX_CHUNK_ROWS),
+                dtype=np.int64,
+            )
+            rows = np.repeat(base[None, :], flat.size, axis=0)
+            if free:
+                rows[:, free] = np.stack(np.unravel_index(flat, shape), axis=1)
+            yield rows
+
+    def _menu_arrays(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per workload dim: its menu's ``(bounds, remainders)`` as
+        ``(len(menu), slots)`` int64 tables, plus the bounds of the
+        spatial slots alone (the joint-fanout filter's operand)."""
+        if self._menu_array_cache is None:
+            spatial = [o for o, slot in enumerate(self.slots) if slot.spatial]
+            shape = (-1, len(self.slots))
+            tables = []
+            for _, menu in self.dim_chain_menus():
+                bounds = np.array(
+                    [c.bounds for c in menu], dtype=np.int64
+                ).reshape(shape)
+                rems = np.array(
+                    [c.remainders for c in menu], dtype=np.int64
+                ).reshape(shape)
+                tables.append((bounds, rems, bounds[:, spatial]))
+            self._menu_array_cache = tables
+        return self._menu_array_cache
 
     def iter_prefix_batches(
         self,
         prefixes: Sequence[Optional[Dict[str, DimChain]]],
         batch_size: int = 512,
         tags: Optional[Sequence[int]] = None,
-    ) -> Iterator["object"]:
+    ) -> Iterator[MappingBatch]:
         """Enumerate many prefixes' completions into *shared* packed batches.
 
         Rows from consecutive prefixes share one fill buffer, so pricing a
-        large set of small subtrees (the branch-and-bound leaf regime)
-        still produces full-width batches — one partial batch per call,
-        not one per subtree. Within each prefix the candidate order
-        matches :meth:`iter_batches` exactly.
+        large set of small subtrees still produces full-width batches —
+        one partial batch per call, not one per subtree. Within each
+        prefix the candidate order matches :meth:`iter_batches` exactly.
+        Prefix chains must come from :meth:`dim_chain_menus`.
 
         ``tags`` — when given, one int per prefix — stamps every row of a
-        yielded batch with its source prefix's tag in ``batch.tags``, so
-        callers that pack many subtrees into one batch can recover which
-        subtree an improving row came from (provenance survives the
-        fanout filter, which silently drops rows).
+        yielded batch with its source prefix's tag in ``batch.tags``.
         """
-        layout = self.batch_layout()
-        if batch_size < 1:
-            raise MapspaceError("batch_size must be >= 1")
         if tags is not None and len(tags) != len(prefixes):
             raise MapspaceError("tags must align one-to-one with prefixes")
-        import numpy as np
+        index = {
+            dim: {chain: k for k, chain in enumerate(menu)}
+            for dim, menu in self.dim_chain_menus()
+        }
 
-        from repro.model.batch import MappingBatch
-
-        dims = list(self.workload.dim_names)
-        # The menus and their packed arrays never change for a given
-        # mapspace; cache them (the branch-and-bound leaf flush calls this
-        # many times per search). entry_by_id short-circuits the pinned
-        # branch below for chains drawn from these same menus.
-        cached = getattr(self, "_menu_entry_cache", None)
-        if cached is None:
-            menu_entries = {
-                dim: [
-                    (
-                        chain,
-                        np.asarray(chain.bounds, dtype=np.int64),
-                        np.asarray(chain.remainders, dtype=np.int64),
-                    )
-                    for chain in menu
-                ]
-                for dim, menu in self.dim_chain_menus()
-            }
-            entry_by_id = {
-                id(entry[0]): entry
-                for entries in menu_entries.values()
-                for entry in entries
-            }
-            cached = (menu_entries, entry_by_id)
-            self._menu_entry_cache = cached
-        menu_entries, entry_by_id = cached
-        spatial_caps = [
-            (offset, slot.fanout_cap)
-            for offset, slot in enumerate(self.slots)
-            if slot.spatial
-        ]
-        shape = (batch_size, len(self.slots), len(dims))
-        # Positions are row-constant on the virtual grid; a read-only
-        # broadcast view is enough (kernels never write pos).
-        pos = np.broadcast_to(layout.grid_pos[None, :, :], shape)
-        bounds = np.ones(shape, dtype=np.int64)
-        rems = np.ones(shape, dtype=np.int64)
-        tag_buf = (
-            np.zeros(batch_size, dtype=np.int64) if tags is not None else None
-        )
-        fill = 0
-        for prefix_index, prefix in enumerate(prefixes):
-            row_tag = tags[prefix_index] if tags is not None else 0
-            prefix = prefix or {}
-            per_dim = [
-                (
-                    [
-                        entry_by_id.get(id(prefix[dim]))
-                        or (
-                            prefix[dim],
-                            np.asarray(prefix[dim].bounds, dtype=np.int64),
-                            np.asarray(
-                                prefix[dim].remainders, dtype=np.int64
-                            ),
+        def chunks():
+            for i, prefix in enumerate(prefixes):
+                pinned = {}
+                for dim, chain in (prefix or {}).items():
+                    k = index[dim].get(chain)
+                    if k is None:
+                        raise MapspaceError(
+                            f"prefix chain {chain!r} is not in the {dim} menu"
                         )
-                    ]
-                    if dim in prefix
-                    else menu_entries[dim]
-                )
-                for dim in dims
-            ]
-            for combo in itertools.product(*per_dim):
-                feasible = True
-                for offset, cap in spatial_caps:
-                    product = 1
-                    for chain, _, _ in combo:
-                        product *= chain.bounds[offset]
-                    if product > cap:
-                        feasible = False
-                        break
-                if not feasible:
-                    continue
-                for d, (_, chain_bounds, chain_rems) in enumerate(combo):
-                    bounds[fill, :, d] = chain_bounds
-                    rems[fill, :, d] = chain_rems
-                if tag_buf is not None:
-                    tag_buf[fill] = row_tag
-                fill += 1
-                if fill == batch_size:
-                    _obs.inc("mapspace.batches")
-                    _obs.inc("mapspace.candidates", batch_size)
-                    yield MappingBatch(
-                        layout=layout,
-                        bounds=bounds,
-                        rems=rems,
-                        pos=pos,
-                        fallback=np.zeros(batch_size, dtype=bool),
-                        tags=tag_buf,
+                    pinned[dim] = k
+                for rows in self.prefix_index_rows(pinned):
+                    row_tags = (
+                        np.full(len(rows), tags[i], dtype=np.int64)
+                        if tags is not None
+                        else None
                     )
-                    bounds = np.ones(shape, dtype=np.int64)
-                    rems = np.ones(shape, dtype=np.int64)
-                    if tag_buf is not None:
-                        tag_buf = np.zeros(batch_size, dtype=np.int64)
-                    fill = 0
-        if fill:
-            _obs.inc("mapspace.batches")
-            _obs.inc("mapspace.candidates", fill)
-            yield MappingBatch(
-                layout=layout,
-                bounds=bounds[:fill],
-                rems=rems[:fill],
-                pos=pos[:fill],
-                fallback=np.zeros(fill, dtype=bool),
-                tags=tag_buf[:fill] if tag_buf is not None else None,
-            )
+                    yield rows, row_tags
+
+        yield from self.iter_index_batches(chunks(), batch_size=batch_size)
+
+    def iter_index_batches(
+        self,
+        chunks: Iterable[Tuple[np.ndarray, Optional[np.ndarray]]],
+        batch_size: int = 512,
+    ) -> Iterator[MappingBatch]:
+        """Pack menu-index rows into batches: the one enumeration primitive.
+
+        ``chunks`` yields ``(rows, tags)`` pairs: ``rows`` is an int array
+        with one column per workload dimension holding menu indices into
+        :meth:`dim_chain_menus`; ``tags`` is ``None`` or one int per row,
+        stamped into ``batch.tags``. Rows whose joint spatial allocation
+        exceeds a slot's fanout cap are dropped in place; the rest keep
+        their order and fill shared full-width batches, with one partial
+        batch at the end. Bounds and remainders are gathered from the
+        per-dim menu tables by fancy indexing, one batch at a time, so
+        memory stays at one chunk plus one batch.
+        """
+        if batch_size < 1:
+            raise MapspaceError("batch_size must be >= 1")
+        tables = self._menu_arrays()
+        caps = np.array(
+            [slot.fanout_cap for slot in self.slots if slot.spatial],
+            dtype=np.int64,
+        )
+        pending: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
+        filled = 0
+        for rows, tags in chunks:
+            rows = np.asarray(rows, dtype=np.int64)
+            if caps.size:
+                used = np.ones((len(rows), caps.size), dtype=np.int64)
+                for d, (_, _, spatial) in enumerate(tables):
+                    used *= spatial[rows[:, d]]
+                    # Clamped above the cap: the product stays far from
+                    # int64 overflow and the verdict is unchanged.
+                    np.minimum(used, caps + 1, out=used)
+                keep = (used <= caps).all(axis=1)
+                if not keep.all():
+                    rows = rows[keep]
+                    if tags is not None:
+                        tags = np.asarray(tags)[keep]
+            if not len(rows):
+                continue
+            pending.append((rows, tags))
+            filled += len(rows)
+            if filled < batch_size:
+                continue
+            rows, tags = self._join(pending)
+            full = filled - filled % batch_size
+            for start in range(0, full, batch_size):
+                yield self._gather(
+                    rows[start:start + batch_size],
+                    tags[start:start + batch_size] if tags is not None else None,
+                )
+            pending = [(rows[full:], tags[full:] if tags is not None else None)]
+            filled -= full
+        if filled:
+            yield self._gather(*self._join(pending))
+
+    @staticmethod
+    def _join(pending):
+        rows = np.concatenate([r for r, _ in pending])
+        if pending[0][1] is None:
+            return rows, None
+        return rows, np.concatenate([t for _, t in pending]).astype(np.int64)
+
+    def _gather(self, rows: np.ndarray, tags: Optional[np.ndarray]) -> MappingBatch:
+        """One batch of the given menu-index rows (fanout already checked)."""
+        layout = self.batch_layout()
+        n = len(rows)
+        shape = (n, len(self.slots), len(self.workload.dim_names))
+        bounds = np.empty(shape, dtype=np.int64)
+        rems = np.empty(shape, dtype=np.int64)
+        for d, (dim_bounds, dim_rems, _) in enumerate(self._menu_arrays()):
+            bounds[:, :, d] = dim_bounds[rows[:, d]]
+            rems[:, :, d] = dim_rems[rows[:, d]]
+        _obs.inc("mapspace.batches")
+        _obs.inc("mapspace.candidates", n)
+        return MappingBatch(
+            layout=layout,
+            bounds=bounds,
+            rems=rems,
+            # Positions are row-constant on the virtual grid; a read-only
+            # broadcast view is enough (kernels never write pos).
+            pos=np.broadcast_to(layout.grid_pos[None, :, :], shape),
+            fallback=np.zeros(n, dtype=bool),
+            tags=tags,
+        )
 
     def _fanout_ok(
         self, combo: Sequence[DimChain], spatial_offsets: List[int]

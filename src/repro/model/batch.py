@@ -410,7 +410,7 @@ class MappingBatch:
     represent (bypass sets, misaligned levels, duplicate cells); those are
     priced by the scalar evaluator instead.
 
-    Rows come from three sources: :meth:`MapSpace.iter_prefix_batches`
+    Rows come from three sources: :meth:`MapSpace.iter_index_batches`
     (enumeration, virtual grid positions), :meth:`MapSpace.sample_batch`
     (random sampling, real positions) and :func:`pack_mappings` (existing
     ``Mapping`` objects). ``mappings`` keeps the original ``Mapping`` of
@@ -425,7 +425,7 @@ class MappingBatch:
     fallback: Any
     mappings: Optional[Dict[int, Mapping]] = None
     #: Optional per-row provenance stamped by
-    #: :meth:`MapSpace.iter_prefix_batches` (the source prefix's tag);
+    #: :meth:`MapSpace.iter_index_batches` (the caller's row tag);
     #: pricing kernels ignore it.
     tags: Any = None
 
@@ -1212,10 +1212,13 @@ class PartialBoundEngine:
 
     Bounds are monotone along the tree (fixing more dimensions can only
     raise them), which makes best-first search with a single
-    front-of-heap cutoff exact. All arithmetic is Python ints/floats —
-    no overflow concerns — and the same :data:`PRUNE_MARGIN` discipline
-    as row-level pruning keeps float rounding from ever cutting a true
-    improvement.
+    front-of-heap cutoff exact. The scalar :meth:`bound` multiplies
+    Python ints; the projection-factor tables and the vectorized sweeps
+    (:meth:`child_bounds`, :meth:`suffix_bounds`) use int64, like the
+    batch kernels. A factor never exceeds its chain's bound product, and
+    a table whose menu could reach 2**53 is built with Python ints
+    instead. The same :data:`PRUNE_MARGIN` discipline as row-level
+    pruning keeps float rounding from ever cutting a true improvement.
     """
 
     def __init__(
@@ -1278,8 +1281,6 @@ class PartialBoundEngine:
             self.qual_min[dim] = {
                 cut: min(q[cut] for q in quals) for cut in self.cuts
             }
-        self._factor_cache: Dict[Tuple, int] = {}
-        self._factor_min_cache: Dict[Tuple, int] = {}
         # Menu-vectorized views of the per-chain stats, for pricing every
         # child of a tree node in one :meth:`child_bounds` call.
         self._cyc_vec = {
@@ -1300,13 +1301,22 @@ class PartialBoundEngine:
             }
             for dim, quals in self.qual.items()
         }
-        #: Largest possible cutoff (cutoffs are virtual grid positions, or
-        #: -1); factor-vs-cutoff tables are indexed by ``cutoff + 1``.
-        self._cutoff_hi = int(self.layout.grid_pos.max())
-        self._factor_table_cache: Dict[Tuple, Any] = {}
-        self._factor_min_table_cache: Dict[Tuple, Any] = {}
-        self._factor_menu_cache: Dict[Tuple, Any] = {}
-        self._factor_menu_table_cache: Dict[Tuple, Any] = {}
+        #: Per dim: the menu's (bounds, remainders) as ``(menu, columns)``
+        #: int64 tables, the operands of the projection-factor fold.
+        self._menu_cols = {
+            dim: (
+                np.array([c.bounds for c in menu], dtype=np.int64),
+                np.array([c.remainders for c in menu], dtype=np.int64),
+            )
+            for dim, menu in self.menus.items()
+        }
+        #: Cutoffs are virtual grid positions, or -1; factor tables hold
+        #: cutoff ``k`` at column ``k + 1``.
+        self._cutoffs = np.arange(
+            -1, int(self.layout.grid_pos.max()) + 1, dtype=np.int64
+        )
+        #: (dim, cut, parent, inner) -> (factor table, its menu minimum).
+        self._tables: Dict[Tuple, Tuple[Any, Any]] = {}
 
     def _chain_cycles(self, chain: Any) -> int:
         """One dimension's exact factor of the cycle product.
@@ -1365,15 +1375,17 @@ class PartialBoundEngine:
             qual[cut] = deepest
         return qual
 
-    def _projection_factor(
-        self, dim: str, chain: Any, cut: int, parent: int,
-        inner: bool, cutoff: int,
-    ) -> int:
-        """One irrelevant dimension's projection-count factor, replayed.
+    def _factor_tables(
+        self, dim: str, cut: int, parent: int, inner: bool
+    ) -> Tuple[Any, Any]:
+        """One irrelevant dimension's projection-count factors, tabulated.
 
-        The scalar replay of one ``d`` iteration of
-        :meth:`BatchEvaluator._projection_multipliers`, at a given cutoff:
-        walk the boundary's columns inner to outer keeping (full-subtree,
+        Returns ``(table, table_min)``: ``table[idx, cutoff + 1]`` is the
+        factor of menu chain ``idx`` at ``cutoff``, and ``table_min`` its
+        minimum over the menu (the free-dim relaxation). This is one
+        ``d`` iteration of :meth:`BatchEvaluator._projection_multipliers`
+        as a NumPy fold over every (chain, cutoff) pair at once: walk the
+        boundary's columns inner to outer keeping (full-subtree,
         last-path) counts; spatial loops are always selected on the inner
         multiplier and selected above the parent on the outer one;
         temporal loops are selected when their position is inside the
@@ -1381,204 +1393,47 @@ class PartialBoundEngine:
         genuine remainder. Both counts are monotone in the selected set,
         so evaluating at a cutoff lower bound is admissible.
         """
+        key = (dim, cut, parent, inner)
+        tables = self._tables.get(key)
+        if tables is not None:
+            return tables
         layout = self.layout
         d = layout.dim_index[dim]
-        f = 1
-        l = 1
+        bounds, rems = self._menu_cols[dim]
+        shape = (bounds.shape[0], self._cutoffs.size)
+        f = np.ones(shape, dtype=np.int64)
+        # Every count is at most its chain's bound product; past the
+        # exact limit the fold runs on Python ints instead.
+        if np.prod(bounds.astype(np.float64), axis=1).max() >= _EXACT_LIMIT:
+            bounds, rems, f = (a.astype(object) for a in (bounds, rems, f))
+        l = f.copy()
         for c in range(layout.num_columns - 1, -1, -1):
             if layout.col_level[c] >= cut:
                 continue
-            b = int(chain.bounds[c])
-            r = int(chain.remainders[c])
+            b = bounds[:, c, None]
+            r = rems[:, c, None]
             if layout.col_spatial[c]:
-                if inner or layout.col_level[c] < parent:
-                    l = (r - 1) * f + l
-                    f = b * f
-                elif r >= 2:
-                    l = f
+                selected = inner or layout.col_level[c] < parent
             else:
-                if int(layout.grid_pos[c, d]) < cutoff:
-                    l = (r - 1) * f + l
-                    f = b * f
-                elif r >= 2:
-                    l = f
-        return l
+                selected = int(layout.grid_pos[c, d]) < self._cutoffs
+            l = np.where(selected, (r - 1) * f + l, np.where(r >= 2, f, l))
+            f = np.where(selected, b * f, f)
+        tables = (l, l.min(axis=0))
+        self._tables[key] = tables
+        return tables
 
     def _factor(
         self, dim: str, idx: int, cut: int, parent: int,
         inner: bool, cutoff: int,
     ) -> int:
-        """Memoized exact projection factor of one assigned chain."""
-        key = (dim, idx, cut, parent, inner, cutoff)
-        cached = self._factor_cache.get(key)
-        if cached is None:
-            # A preloaded (or previously built) cutoff table already holds
-            # every value of this factor — workers seeded via
-            # :meth:`preload_tables` never replay the Python fold.
-            table = self._factor_table_cache.get((dim, idx, cut, parent, inner))
-            if table is not None:
-                cached = int(table[cutoff + 1])
-            else:
-                cached = self._projection_factor(
-                    dim, self.menus[dim][idx], cut, parent, inner, cutoff
-                )
-            self._factor_cache[key] = cached
-        return cached
+        """Exact projection factor of one assigned chain."""
+        return int(self._factor_tables(dim, cut, parent, inner)[0][idx, cutoff + 1])
 
     def _factor_min(
         self, dim: str, cut: int, parent: int, inner: bool, cutoff: int
     ) -> int:
-        """Memoized menu-minimum projection factor of a free dimension."""
-        key = (dim, cut, parent, inner, cutoff)
-        cached = self._factor_min_cache.get(key)
-        if cached is None:
-            table = self._factor_min_table_cache.get((dim, cut, parent, inner))
-            if table is not None:
-                cached = int(table[cutoff + 1])
-            else:
-                cached = min(
-                    self._factor(dim, idx, cut, parent, inner, cutoff)
-                    for idx in range(len(self.menus[dim]))
-                )
-            self._factor_min_cache[key] = cached
-        return cached
-
-    def _factor_table(
-        self, dim: str, idx: int, cut: int, parent: int, inner: bool
-    ) -> Any:
-        """One assigned chain's projection factor, tabulated over cutoffs.
-
-        Index ``cutoff + 1`` (cutoffs range over ``[-1, _cutoff_hi]``), so
-        a per-child cutoff vector gathers factors in one fancy-index.
-        """
-        key = (dim, idx, cut, parent, inner)
-        table = self._factor_table_cache.get(key)
-        if table is None:
-            table = np.array(
-                [
-                    self._factor(dim, idx, cut, parent, inner, cutoff)
-                    for cutoff in range(-1, self._cutoff_hi + 1)
-                ],
-                dtype=np.int64,
-            )
-            self._factor_table_cache[key] = table
-        return table
-
-    def _factor_min_table(
-        self, dim: str, cut: int, parent: int, inner: bool
-    ) -> Any:
-        """A free dimension's menu-minimum factor, tabulated over cutoffs."""
-        key = (dim, cut, parent, inner)
-        table = self._factor_min_table_cache.get(key)
-        if table is None:
-            table = np.array(
-                [
-                    self._factor_min(dim, cut, parent, inner, cutoff)
-                    for cutoff in range(-1, self._cutoff_hi + 1)
-                ],
-                dtype=np.int64,
-            )
-            self._factor_min_table_cache[key] = table
-        return table
-
-    def _factor_menu_vec(
-        self, dim: str, cut: int, parent: int, inner: bool, cutoff: int
-    ) -> Any:
-        """All of one dimension's menu factors at one fixed cutoff."""
-        key = (dim, cut, parent, inner, cutoff)
-        vec = self._factor_menu_cache.get(key)
-        if vec is None:
-            vec = np.array(
-                [
-                    self._factor(dim, idx, cut, parent, inner, cutoff)
-                    for idx in range(len(self.menus[dim]))
-                ],
-                dtype=np.int64,
-            )
-            self._factor_menu_cache[key] = vec
-        return vec
-
-    def _factor_menu_table(
-        self, dim: str, cut: int, parent: int, inner: bool
-    ) -> Any:
-        """One dimension's factors over (menu index, cutoff), 2-D."""
-        key = (dim, cut, parent, inner)
-        table = self._factor_menu_table_cache.get(key)
-        if table is None:
-            table = np.stack(
-                [
-                    self._factor_table(dim, idx, cut, parent, inner)
-                    for idx in range(len(self.menus[dim]))
-                ]
-            )
-            self._factor_menu_table_cache[key] = table
-        return table
-
-    # -- cross-process table transport -----------------------------------
-    #
-    # Building the factor tables is the engine's only Python-loop-heavy
-    # work (a _projection_factor replay per (dim, chain, cutoff) tuple);
-    # everything else in __init__ is a few small folds. The parallel
-    # branch-and-bound driver therefore builds the tables once, exports
-    # them as a flat dict of int64 arrays, and ships them to workers as
-    # shared-memory views — each worker's engine starts bound-ready
-    # without replaying a single fold.
-
-    def precompute_tables(self) -> None:
-        """Eagerly build every factor table the tree walk can request."""
-        layout = self.layout
-        for meta in layout.tensors:
-            for parent, child in meta.boundaries:
-                cut = layout.num_levels if child is None else child
-                inners = (False, True) if child is not None else (False,)
-                for d in meta.irrelevant_idx:
-                    dim = layout.dims[d]
-                    for inner in inners:
-                        self._factor_menu_table(dim, cut, parent, inner)
-                        self._factor_min_table(dim, cut, parent, inner)
-
-    def export_tables(self) -> Dict[str, Any]:
-        """All factor tables as a flat ``{key: int64 array}`` dict.
-
-        Keys encode the cache key (``kind|dim|cut|parent|inner``); the
-        dict round-trips through :class:`repro.model.shm.ShmArrayBundle`
-        into :meth:`preload_tables` on the worker side.
-        """
-        self.precompute_tables()
-        arrays: Dict[str, Any] = {}
-        for (dim, cut, parent, inner), table in sorted(
-            self._factor_menu_table_cache.items()
-        ):
-            arrays[f"menu|{dim}|{cut}|{parent}|{int(inner)}"] = table
-        for (dim, cut, parent, inner), table in sorted(
-            self._factor_min_table_cache.items()
-        ):
-            arrays[f"min|{dim}|{cut}|{parent}|{int(inner)}"] = table
-        return arrays
-
-    def preload_tables(self, arrays: Dict[str, Any]) -> int:
-        """Seed the factor-table caches from exported arrays (zero-copy).
-
-        Accepts the dict produced by :meth:`export_tables` (typically as
-        attached shared-memory views). Per-chain rows of each menu table
-        are installed too, so both the vectorized and the scalar factor
-        paths hit without ever replaying the Python fold. Returns the
-        number of tables installed.
-        """
-        loaded = 0
-        for name, table in arrays.items():
-            kind, dim, cut, parent, inner = name.split("|")
-            key = (dim, int(cut), int(parent), bool(int(inner)))
-            if kind == "menu":
-                self._factor_menu_table_cache[key] = table
-                for idx in range(table.shape[0]):
-                    self._factor_table_cache[(dim, idx) + key[1:]] = table[idx]
-            elif kind == "min":
-                self._factor_min_table_cache[key] = table
-            else:
-                continue
-            loaded += 1
-        return loaded
+        """Menu-minimum projection factor of a free dimension."""
+        return int(self._factor_tables(dim, cut, parent, inner)[1][cutoff + 1])
 
     def suffix_bounds(
         self, assigned: Dict[str, int], objective: str = "edp"
@@ -1661,25 +1516,20 @@ class PartialBoundEngine:
                 inner: Any = 1
                 for d in meta.irrelevant_idx:
                     dim = layout.dims[d]
+                    # An assigned chain's table row, or the free menu
+                    # spread along its grid axis.
                     idx = assigned.get(dim)
-                    if idx is not None:
-                        outer = outer * self._factor_table(
-                            dim, idx, cut, parent, False
-                        )[cutoff_idx]
-                        if child is not None:
-                            inner = inner * self._factor_table(
-                                dim, idx, cut, parent, True
-                            )[cutoff_idx]
-                    else:
-                        m = len(self.menus[dim])
-                        idx_grid = spread(dim, np.arange(m, dtype=np.int64))
-                        outer = outer * self._factor_menu_table(
-                            dim, cut, parent, False
-                        )[idx_grid, cutoff_idx]
-                        if child is not None:
-                            inner = inner * self._factor_menu_table(
-                                dim, cut, parent, True
-                            )[idx_grid, cutoff_idx]
+                    if idx is None:
+                        idx = spread(
+                            dim, np.arange(len(self.menus[dim]), dtype=np.int64)
+                        )
+                    outer = outer * self._factor_tables(
+                        dim, cut, parent, False
+                    )[0][idx, cutoff_idx]
+                    if child is not None:
+                        inner = inner * self._factor_tables(
+                            dim, cut, parent, True
+                        )[0][idx, cutoff_idx]
                 if not meta.is_output:
                     energy = energy + engine.read_pj[parent] * (base * outer)
                     if child is not None:
@@ -1807,22 +1657,23 @@ class PartialBoundEngine:
                     for d in meta.irrelevant_idx:
                         dim = layout.dims[d]
                         idx = assigned.get(dim)
-                        if idx is not None:
-                            outer = outer * self._factor_table(
-                                dim, idx, cut, parent, False
-                            )[cutoff_idx]
-                            if child is not None:
-                                inner = inner * self._factor_table(
-                                    dim, idx, cut, parent, True
-                                )[cutoff_idx]
-                        else:
-                            outer = outer * self._factor_min_table(
-                                dim, cut, parent, False
-                            )[cutoff_idx]
-                            if child is not None:
-                                inner = inner * self._factor_min_table(
-                                    dim, cut, parent, True
-                                )[cutoff_idx]
+                        table, table_min = self._factor_tables(
+                            dim, cut, parent, False
+                        )
+                        outer = outer * (
+                            table[idx, cutoff_idx]
+                            if idx is not None
+                            else table_min[cutoff_idx]
+                        )
+                        if child is not None:
+                            table, table_min = self._factor_tables(
+                                dim, cut, parent, True
+                            )
+                            inner = inner * (
+                                table[idx, cutoff_idx]
+                                if idx is not None
+                                else table_min[cutoff_idx]
+                            )
                 else:
                     # The branch dim is irrelevant here, so the cutoff is
                     # child-independent and the branch contributes its
@@ -1838,13 +1689,13 @@ class PartialBoundEngine:
                         )
                         if qual > cutoff:
                             cutoff = qual
-                    outer = self._factor_menu_vec(
-                        branch_dim, cut, parent, False, cutoff
-                    )
+                    outer = self._factor_tables(
+                        branch_dim, cut, parent, False
+                    )[0][:, cutoff + 1]
                     inner = (
-                        self._factor_menu_vec(
-                            branch_dim, cut, parent, True, cutoff
-                        )
+                        self._factor_tables(
+                            branch_dim, cut, parent, True
+                        )[0][:, cutoff + 1]
                         if child is not None
                         else None
                     )

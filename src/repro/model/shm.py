@@ -2,8 +2,7 @@
 
 The batch engine's structure-of-arrays encoding (`repro.model.batch`) is
 what makes cross-process work-sharing affordable: a packed candidate
-batch or a precomputed factor table is a handful of contiguous int64
-blocks, and `multiprocessing.shared_memory` can hand workers *views* of
+batch is a handful of contiguous int64 blocks, and `multiprocessing.shared_memory` can hand workers *views* of
 those blocks instead of pickling row dicts through the pool's result
 pipe. :class:`ShmArrayBundle` packs a named dict of arrays into one
 shared segment and ships a tiny picklable :class:`BundleHandle`

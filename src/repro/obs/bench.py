@@ -16,9 +16,10 @@ trajectory:
   (:class:`repro.io.journal.Journal`), so reads are torn-tail tolerant
   and the file is append-only history, never rewritten.
 * :func:`compare_ledger` diffs the newest record against its baseline
-  (the most recent earlier record from the same machine when one
-  exists — cross-machine timing comparisons are noise) and flags any
-  metric that moved past the threshold in the bad direction.
+  (the most recent earlier record from the same machine — host,
+  platform and CPU count — when one exists; cross-machine timing
+  comparisons are noise) and flags any metric that moved past the
+  threshold in the bad direction.
 
 ``repro bench record|compare`` is the CLI face; ``make bench-compare``
 wires the compare gate into CI, exiting nonzero on a ≥20% regression.
@@ -220,6 +221,12 @@ def read_ledger(ledger_path: Union[str, Path]) -> List[Dict[str, Any]]:
     return [r for r in Journal(path).read() if r.get("kind") == "bench"]
 
 
+def _machine_key(record: Dict[str, Any]) -> Tuple[Any, ...]:
+    """The fingerprint fields that decide whether timings compare."""
+    machine = record.get("machine", {})
+    return tuple(machine.get(key) for key in ("host", "platform", "cpu_count"))
+
+
 def compare_ledger(
     ledger_path: Union[str, Path],
     threshold: float = DEFAULT_THRESHOLD,
@@ -227,9 +234,11 @@ def compare_ledger(
 ) -> BenchComparison:
     """Diff the newest ledger record against its baseline.
 
-    The baseline is the most recent earlier record from the same host
-    (when ``prefer_same_machine`` and one exists); otherwise the most
-    recent earlier record outright. Raises :class:`BenchLedgerError`
+    The baseline is the most recent earlier record from the same
+    machine (when ``prefer_same_machine`` and one exists); otherwise the
+    most recent earlier record outright. A machine is its fingerprint's
+    host, platform and CPU count: host names alone do not tell
+    containers apart. Raises :class:`BenchLedgerError`
     when the ledger holds fewer than two records — there is nothing to
     compare, which is different from "no regression".
     """
@@ -243,9 +252,9 @@ def compare_ledger(
     earlier = records[:-1]
     baseline = None
     if prefer_same_machine:
-        host = current.get("machine", {}).get("host")
+        machine = _machine_key(current)
         for candidate in reversed(earlier):
-            if candidate.get("machine", {}).get("host") == host:
+            if _machine_key(candidate) == machine:
                 baseline = candidate
                 break
     if baseline is None:
@@ -275,10 +284,7 @@ def compare_ledger(
     return BenchComparison(
         baseline_time=baseline.get("time", 0.0),
         current_time=current.get("time", 0.0),
-        same_machine=(
-            baseline.get("machine", {}).get("host")
-            == current.get("machine", {}).get("host")
-        ),
+        same_machine=_machine_key(baseline) == _machine_key(current),
         deltas=deltas,
         missing=sorted(k for k in base_entries if k not in curr_entries),
         added=sorted(k for k in curr_entries if k not in base_entries),

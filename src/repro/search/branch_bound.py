@@ -24,13 +24,14 @@ Search order and exactness:
   front of the heap proves every remaining node prunable and the search
   terminates with the exact optimum.
 * **leaf batches** — once a subtree is small enough, it is buffered
-  rather than branched; buffered subtrees flush together through
-  :meth:`MapSpace.iter_prefix_batches`, which packs completions from
-  *many* subtrees into shared full-width batches (tiny per-leaf batches
-  would otherwise dominate the runtime). At flush time each buffered
-  bound is re-checked against the incumbent — which usually improved
-  since the leaf was popped — so late leaves are often cut without
-  enumerating a row. Surviving rows are priced by the bit-exact
+  rather than branched; buffered subtrees flush together. At flush time
+  each buffered bound is re-checked against the incumbent — which
+  usually improved since the leaf was popped — so late leaves are often
+  cut without enumerating a row, and each surviving leaf's completions
+  get a dense bound sweep. The surviving cells become menu-index rows,
+  and :meth:`MapSpace.iter_index_batches` packs the rows of *many*
+  subtrees into shared full-width batches (tiny per-leaf batches would
+  otherwise dominate the runtime). They are priced by the bit-exact
   vectorized engine with row-level pruning against the same incumbent.
   The returned best-EDP is therefore bit-identical to
   :class:`~repro.search.exhaustive.ExhaustiveSearch` — asserted by the
@@ -57,6 +58,8 @@ from __future__ import annotations
 import heapq
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro import obs
 from repro.exceptions import SearchError
@@ -170,9 +173,9 @@ class _SubtreeWalker:
 
         self._cut = float(incumbent.read())
         # Leaf subtrees are buffered and flushed together so their rows
-        # pack into shared full-width batches (a per-leaf iter_batches
-        # call would emit mostly-empty batches and the per-batch kernel
-        # overhead would swamp the pruning win).
+        # pack into shared full-width batches (per-leaf batches would be
+        # mostly empty and the per-batch kernel overhead would swamp the
+        # pruning win).
         self._leaf_buffer: List[Tuple[float, Tuple[int, ...]]] = []
         self._leaf_rows = 0
         self._flush_rows = FLUSH_ROWS_FACTOR * batch_size
@@ -355,16 +358,16 @@ class _SubtreeWalker:
         and surviving leaves get a dense per-completion bound sweep
         (:meth:`suffix_bounds`): complete assignments are the tightest
         bounds the engine can state, and a cell cut there is never even
-        enumerated into a batch.
+        enumerated into a batch. Surviving cells become menu-index rows
+        (one column per workload dimension, assigned dims constant) by
+        index arithmetic on the grid, and
+        :meth:`MapSpace.iter_index_batches` gathers them into batches.
         """
-        import numpy as np
-
         if not self._leaf_buffer:
             return
         self._cut = float(self.incumbent.read())
         dims_order = self.dims_order
-        pinned: List[Dict[str, object]] = []
-        pinned_sigs: List[Tuple[int, ...]] = []
+        pieces: List[np.ndarray] = []
         for leaf_bound, leaf_indices in self._leaf_buffer:
             if (
                 self._cut != float("inf")
@@ -377,24 +380,15 @@ class _SubtreeWalker:
             assigned = {
                 dims_order[i][0]: k for i, k in enumerate(leaf_indices)
             }
+            row = np.array(
+                [assigned.get(dim, 0) for dim in self.workload_dims],
+                dtype=np.int64,
+            )
             if len(leaf_indices) == self.num_dims:
-                pinned.append(
-                    {
-                        dims_order[i][0]: dims_order[i][1][k]
-                        for i, k in enumerate(leaf_indices)
-                    }
-                )
-                pinned_sigs.append(
-                    tuple(assigned[dim] for dim in self.workload_dims)
-                )
+                pieces.append(row[None, :])
                 continue
-            cells = self.bound_engine.suffix_bounds(assigned, self.objective)
-            free = [
-                dim
-                for dim in self.bound_engine.layout.dims
-                if dim not in assigned
-            ]
-            flat = cells.reshape(-1)
+            grid = self.bound_engine.suffix_bounds(assigned, self.objective)
+            flat = grid.reshape(-1)
             if self._cut != float("inf"):
                 keep = np.flatnonzero(
                     flat * (1.0 - PRUNE_MARGIN) < self._cut
@@ -410,31 +404,26 @@ class _SubtreeWalker:
                     self._cover(cut)
             else:
                 keep = np.arange(flat.size)
-            base = {
-                dims_order[i][0]: dims_order[i][1][k]
-                for i, k in enumerate(leaf_indices)
-            }
-            for flat_idx in keep:
-                cell = np.unravel_index(int(flat_idx), cells.shape)
-                full = dict(base)
-                sig_map = dict(assigned)
-                for dim, idx in zip(free, cell):
-                    full[dim] = self.menu_by_dim[dim][idx]
-                    sig_map[dim] = int(idx)
-                pinned.append(full)
-                pinned_sigs.append(
-                    tuple(sig_map[dim] for dim in self.workload_dims)
-                )
+            if not keep.size:
+                continue
+            # The grid's axes are the free dims in workload order.
+            free = [
+                d for d, dim in enumerate(self.workload_dims)
+                if dim not in assigned
+            ]
+            rows = np.repeat(row[None, :], keep.size, axis=0)
+            rows[:, free] = np.stack(np.unravel_index(keep, grid.shape), axis=1)
+            pieces.append(rows)
         self._leaf_buffer.clear()
         self._leaf_rows = 0
-        if not pinned:
+        if not pieces:
             return
+        cells = np.concatenate(pieces)
         rows_priced = 0
-        with obs.trace("search.leaf_flush", subtrees=len(pinned)):
-            for batch in self.mapspace.iter_prefix_batches(
-                pinned,
+        with obs.trace("search.leaf_flush", subtrees=len(cells)):
+            for batch in self.mapspace.iter_index_batches(
+                [(cells, np.arange(len(cells), dtype=np.int64))],
                 batch_size=self.batch_size,
-                tags=list(range(len(pinned))),
             ):
                 if (
                     self.limit is not None
@@ -456,15 +445,21 @@ class _SubtreeWalker:
                 )
                 rows_priced += batch.size
                 self._cover(batch.size)
-                for i in range(batch.size):
-                    self.evaluations += 1
-                    if not outcome.valid[i]:
-                        continue
-                    self.num_valid += 1
-                    if outcome.pruned[i]:
-                        continue
-                    metric = float(outcome.metric[i])
-                    tag = int(batch.tags[i])
+                # The cut only falls during a batch, so a row that does
+                # not beat it at batch start can never improve. The rest
+                # are offered in row order, each with ``evaluations`` at
+                # its own row: the curve of a row-by-row loop.
+                start = self.evaluations
+                self.num_valid += int(outcome.valid.sum())
+                improving = np.flatnonzero(
+                    outcome.valid
+                    & ~outcome.pruned
+                    & (outcome.metric < self._cut)
+                )
+                for i in improving:
+                    i = int(i)
+                    self.evaluations = start + i + 1
+                    cell = cells[int(batch.tags[i])]
 
                     def make_evaluation(outcome=outcome, batch=batch, i=i):
                         evaluation = outcome.evaluations.get(i)
@@ -475,15 +470,18 @@ class _SubtreeWalker:
                         )
 
                     self._consider(
-                        metric,
+                        float(outcome.metric[i]),
                         make_evaluation,
-                        chains=pinned[tag],
-                        signature=pinned_sigs[tag],
+                        chains={
+                            dim: self.menu_by_dim[dim][int(k)]
+                            for dim, k in zip(self.workload_dims, cell)
+                        },
+                        signature=tuple(int(k) for k in cell),
                     )
-        # Pinned cells the joint-fanout filter dropped never became rows;
-        # they are resolved all the same.
-        self._cover(len(pinned) - rows_priced)
-
+                self.evaluations = start + batch.size
+        # Cells the joint-fanout filter dropped never became rows; they
+        # are resolved all the same.
+        self._cover(len(cells) - rows_priced)
 
 class BranchBoundSearch:
     """Exact best-first branch-and-bound over the per-dimension prefix tree.

@@ -29,11 +29,10 @@ argmin; the parity invariant compares metrics). The convergence curve
 is the driver's local view (warm start + re-price improvements) with
 driver-local evaluation indices.
 
-Transport is zero-copy where it matters: the
-:class:`~repro.model.batch.PartialBoundEngine` factor tables (the only
-Python-loop-heavy precomputation) ship to walk workers as
-``multiprocessing.shared_memory`` views, and leaf-sized partitions are
-driver-enumerated into packed SoA batches shipped the same way
+Walk workers build their own :class:`~repro.model.batch.PartialBoundEngine`
+(its factor tables are a few NumPy folds), so a walk job ships only its
+root's index tuple. Leaf-sized partitions are driver-enumerated into
+packed SoA batches shipped as ``multiprocessing.shared_memory`` views
 (:meth:`MappingBatch.to_shared`), with a pickle fallback mirroring the
 pool's fork→spawn→sequential ladder. The driver owns every segment and
 unlinks in a ``finally``, so a crashed or SIGKILLed worker cannot leak
@@ -103,15 +102,6 @@ def _get_stack(state: Dict[str, Any]) -> Dict[str, Any]:
         )
     menus = mapspace.dim_chain_menus()
     bound_engine = PartialBoundEngine(engine, menus)
-    attachments: List[ShmArrayBundle] = []
-    if state["table_handle"] is not None:
-        attachment = ShmArrayBundle.attach(state["table_handle"])
-        bound_engine.preload_tables(attachment.arrays)
-        # The preloaded views live in the engine's caches; keep the
-        # mapping open for the process lifetime (closing a mapping with
-        # live views is undefined behavior — the driver's unlink, not a
-        # worker-side close, is what reclaims the segment).
-        attachments.append(attachment)
     _STACK = {
         "mapspace": mapspace,
         "evaluator": evaluator,
@@ -120,7 +110,7 @@ def _get_stack(state: Dict[str, Any]) -> Dict[str, Any]:
         "bound_engine": bound_engine,
         "dims_order": dims_branch_order(menus),
         "num_dims": len(menus),
-        "attachments": attachments,
+        "attachments": [],
     }
     _STACK_TOKEN = state["token"]
     return _STACK
@@ -218,7 +208,9 @@ def _price_unit(
     from repro.model.batch import MappingBatch
 
     batch, bundle = MappingBatch.from_shared(stack["layout"], descriptor)
-    # Keep the attachment open for the process lifetime (see _get_stack).
+    # Keep the mapping open for the process lifetime: closing it with
+    # live views is undefined behavior, and the driver's unlink, not a
+    # worker-side close, is what reclaims the segment.
     stack["attachments"].append(bundle)
     cut = float(incumbent.read())
     outcome = stack["engine"].evaluate_batch(
@@ -347,8 +339,8 @@ def run_parallel_tree(search, engine) -> SearchResult:
             # dispatch; order the rest so workers start on promising
             # subtrees (the incumbent tightens fastest that way).
             cut = float(walker.incumbent.read())
-            bounded: List[Tuple[float, Tuple[int, ...], Dict]] = []
-            for indices, prefix in units:
+            bounded: List[Tuple[float, Tuple[int, ...]]] = []
+            for indices in units:
                 assigned = {
                     part_dims[i]: k for i, k in enumerate(indices)
                 }
@@ -363,8 +355,8 @@ def run_parallel_tree(search, engine) -> SearchResult:
                     walker._cover(walker.suffix_product[depth])
                     obs.inc("search.subtrees_pruned", driver="branch-bound")
                     continue
-                bounded.append((unit_bound, indices, prefix))
-            bounded.sort(key=lambda unit: (unit[0], unit[1]))
+                bounded.append((unit_bound, indices))
+            bounded.sort()
 
             # All units at one depth share a subtree size, so the mode is
             # global. Walk is the default — each worker keeps the full
@@ -382,12 +374,17 @@ def run_parallel_tree(search, engine) -> SearchResult:
             )
             jobs: List[Tuple[int, str, Any]] = []
             price_batches: List[Any] = []
-            table_handle = None
             if bounded and price_mode:
                 walker.leaves_deferred += len(bounded)
                 projected = walker.evaluations
-                for batch in mapspace.iter_prefix_batches(
-                    [prefix for _, _, prefix in bounded],
+                for batch in mapspace.iter_index_batches(
+                    (
+                        (rows, None)
+                        for _, indices in bounded
+                        for rows in mapspace.prefix_index_rows(
+                            dict(zip(part_dims, indices))
+                        )
+                    ),
                     batch_size=search.batch_size,
                 ):
                     projected += batch.size
@@ -400,15 +397,10 @@ def run_parallel_tree(search, engine) -> SearchResult:
                     bundles.append(bundle)
                     price_batches.append(batch)
                     jobs.append((len(jobs), "price", descriptor))
-            elif bounded:
-                tables = bound_engine.export_tables()
-                if tables:
-                    table_bundle = ShmArrayBundle.share(tables)
-                    bundles.append(table_bundle)
-                    table_handle = table_bundle.handle
+            else:
                 jobs = [
                     (j, "walk", indices)
-                    for j, (_, indices, _) in enumerate(bounded)
+                    for j, (_, indices) in enumerate(bounded)
                 ]
 
             state: Dict[str, Any] = {
@@ -425,7 +417,6 @@ def run_parallel_tree(search, engine) -> SearchResult:
                 "leaf_width": search.leaf_width,
                 "batch_size": search.batch_size,
                 "limit": search.limit,
-                "table_handle": table_handle,
                 "obs": obs.active_obs() is not None,
                 "seed": 0,
             }

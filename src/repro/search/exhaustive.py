@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
@@ -91,13 +93,19 @@ class ExhaustiveSearch:
                     )
                 obs.inc("search.candidates", batch.size, driver="exhaustive")
                 timer.progress.advance(batch.size)
-                for i in range(batch.size):
-                    evaluations += 1
-                    if not outcome.valid[i]:
-                        continue
-                    num_valid += 1
-                    if outcome.pruned[i]:
-                        continue  # provably no better than the incumbent
+                # Only rows beating the batch-start incumbent can
+                # improve; they are replayed in row order, so the curve
+                # is that of a row-by-row loop.
+                start = evaluations
+                evaluations += batch.size
+                num_valid += int(outcome.valid.sum())
+                improving = np.flatnonzero(
+                    outcome.valid
+                    & ~outcome.pruned
+                    & (outcome.metric < best_metric)
+                )
+                for i in improving:
+                    i = int(i)
                     metric = float(outcome.metric[i])
                     if metric < best_metric:
                         evaluation = outcome.evaluations.get(i)
@@ -109,7 +117,7 @@ class ExhaustiveSearch:
                         best_metric = metric
                         curve.append(
                             ConvergencePoint(
-                                evaluations=evaluations, best_metric=metric
+                                evaluations=start + i + 1, best_metric=metric
                             )
                         )
                         obs.inc("search.improvements", driver="exhaustive")

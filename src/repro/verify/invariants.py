@@ -450,13 +450,16 @@ def _parity_fixtures(seed: int):
     eyeriss = eyeriss_like()
     gemm = GemmLayer("g8x4x4", m=8, n=4, k=4).workload()
     eyeriss_table = estimate_energy_table(eyeriss)
-    fixtures.append(
-        (
-            "eyeriss/pfm",
-            MapSpace(eyeriss, gemm, MapspaceKind.PFM),
-            Evaluator(eyeriss, gemm, eyeriss_table),
+    # Ruby-S on Eyeriss: 20 540 candidates, within the exhaustive limit,
+    # with imperfect spatial blocks the toy cannot produce.
+    for kind in (MapspaceKind.PFM, MapspaceKind.RUBY_S):
+        fixtures.append(
+            (
+                f"eyeriss/{kind.value}",
+                MapSpace(eyeriss, gemm, kind),
+                Evaluator(eyeriss, gemm, eyeriss_table),
+            )
         )
-    )
     return fixtures
 
 

@@ -181,6 +181,38 @@ def test_pruning_never_discards_the_best(kind, scalar_route):
     _assert_same_result(scalar, pruned, check_stats_batch=True)
 
 
+@pytest.mark.parametrize("batch_size", [1, 7, 64])
+def test_exhaustive_curve_matches_row_loop(batch_size):
+    """The sweep offers only rows that beat the batch-start incumbent, yet
+    its counters and curve are those of a plain row-by-row loop."""
+    arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
+    workload = GemmLayer("g6x4x3", m=6, n=4, k=3).workload()
+    mapspace = make_mapspace(arch, workload, "ruby")
+    engine = BatchEvaluator(
+        Evaluator(arch, workload), layout=mapspace.batch_layout()
+    )
+    rows = valid = 0
+    best = float("inf")
+    curve = []
+    for batch in mapspace.iter_batches(batch_size=batch_size):
+        outcome = engine.evaluate_batch(batch, prune=False)
+        for i in range(batch.size):
+            rows += 1
+            if not outcome.valid[i]:
+                continue
+            valid += 1
+            if outcome.metric[i] < best:
+                best = float(outcome.metric[i])
+                curve.append((rows, best))
+    result = ExhaustiveSearch(
+        mapspace, Evaluator(arch, workload), batch_size=batch_size
+    ).run()
+    assert result.num_evaluated == rows
+    assert result.num_valid == valid
+    assert [(p.evaluations, p.best_metric) for p in result.curve] == curve
+    assert len(curve) > 3
+
+
 def test_pruning_skips_candidates_somewhere():
     """The lower bound actually fires on a space with bad candidates."""
     arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)

@@ -300,6 +300,59 @@ class TestCompare:
         no_pref = compare_ledger(ledger, prefer_same_machine=False)
         assert not no_pref.ok  # previous record outright is also 99.0
 
+    def test_same_host_other_cpu_count_is_another_machine(self, tmp_path):
+        """Containers share host names; CPU count and platform tell
+        them apart, so a same-host record with other CPUs is skipped."""
+        here = machine_fingerprint()
+        other_cpus = (here["cpu_count"] or 1) + 7
+
+        def ledger_of(name, records):
+            path = tmp_path / name
+            journal = Journal(path)
+            for when, (cpu_count, value) in enumerate(records):
+                journal.append(
+                    {
+                        "kind": "bench",
+                        "time": float(when),
+                        "machine": dict(here, cpu_count=cpu_count),
+                        "sources": ["x"],
+                        "entries": [
+                            {
+                                "benchmark": "batch_eval",
+                                "case": "case_a",
+                                "metric": "speedup",
+                                "value": value,
+                                "higher_is_better": True,
+                            }
+                        ],
+                    }
+                )
+            return path
+
+        comparison = compare_ledger(
+            ledger_of(
+                "skip.jsonl",
+                [
+                    (here["cpu_count"], 10.0),
+                    (other_cpus, 99.0),  # same host, newer: skipped
+                    (here["cpu_count"], 10.0),
+                ],
+            )
+        )
+        assert comparison.same_machine
+        assert comparison.baseline_time == 0.0
+        assert comparison.ok
+
+        # Only the other-CPU record precedes: fall back, and say so.
+        comparison = compare_ledger(
+            ledger_of(
+                "fallback.jsonl",
+                [(other_cpus, 10.0), (here["cpu_count"], 10.0)],
+            )
+        )
+        assert not comparison.same_machine
+        assert "different machine" in format_comparison(comparison)
+
     def test_cross_machine_fallback_flagged(self, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
         journal = Journal(ledger)

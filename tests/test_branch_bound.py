@@ -425,3 +425,57 @@ class TestBranchBoundSearch:
                 warm_samples=0,
                 limit=3,
             ).run()
+
+
+class TestPinnedCounts:
+    """``conv5_expand`` PFM on row-stationary Eyeriss at seed 0, the
+    ``make bench-bnb`` case: the walk's counters are pinned exactly, so a
+    faster leaf path that changes which rows are priced or pruned (or the
+    answer) fails here before it reaches a benchmark."""
+
+    BEST_EDP = 523603827315777.7
+
+    def _run(self, workers):
+        from repro.mapspace.factory import pfm_mapspace
+        from repro.zoo.resnet50 import RESNET50_LAYERS
+
+        arch = eyeriss_like()
+        by_name = {layer.name: layer for layer, _ in RESNET50_LAYERS}
+        workload = by_name["conv5_expand"].workload()
+        return BranchBoundSearch(
+            pfm_mapspace(arch, workload, constraints=eyeriss_row_stationary()),
+            Evaluator(arch, workload),
+            seed=0,
+            workers=workers,
+        ).run()
+
+    def test_serial_counts(self):
+        result = self._run(workers=1)
+        bnb = result.stats["bnb"]
+        assert result.best_metric == self.BEST_EDP
+        assert result.num_evaluated == 13_184
+        assert bnb["subtrees_pruned"] == 545_140
+        assert bnb["nodes_expanded"] == 1
+        assert bnb["leaves_deferred"] == 244
+        # Warm start, then leaf-flush improvements at their row positions.
+        assert [(p.evaluations, p.best_metric) for p in result.curve] == [
+            (13, 2111902231036108.5),
+            (14, 1042820046016925.1),
+            (67, 878161593762227.9),
+            (69, 710254374192123.9),
+            (71, 626300764407071.9),
+            (73, 584323959514545.9),
+            (797, 565580632208303.8),
+            (799, self.BEST_EDP),
+        ]
+
+    def test_two_workers_same_optimum(self):
+        """With two workers, priced and pruned counts depend on when each
+        worker sees the other's incumbent; the optimum and the partition
+        (244 top-level units, each deferred as a leaf) do not."""
+        result = self._run(workers=2)
+        bnb = result.stats["bnb"]
+        assert result.best_metric == self.BEST_EDP
+        assert bnb["nodes_expanded"] == 0
+        assert bnb["leaves_deferred"] == 244
+        assert result.stats["pool"]["num_units"] == 244

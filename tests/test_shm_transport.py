@@ -153,16 +153,17 @@ class TestFallbackSchemaParity:
         self, monkeypatch
     ):
         space, evaluator = _fixture()
-        shm_run = BranchBoundSearch(
-            space, evaluator, seed=0, workers=2, leaf_width=4, batch_size=16
-        ).run()
+        # Default leaf width and batch size: this space is small enough
+        # for price mode, whose driver-enumerated batches ride the
+        # transport (walk units ship only index tuples).
+        shm_run = BranchBoundSearch(space, evaluator, seed=0, workers=2).run()
         assert shm_run.stats["pool"]["transport"] == "shm"
         # Simulate a platform without multiprocessing.shared_memory: the
         # same search must degrade to pickle transport, find the same
         # optimum, and emit the same stats schema.
         monkeypatch.setattr("repro.model.shm.HAS_SHM", False)
         pickle_run = BranchBoundSearch(
-            space, evaluator, seed=0, workers=2, leaf_width=4, batch_size=16
+            space, evaluator, seed=0, workers=2
         ).run()
         assert pickle_run.stats["pool"]["transport"] == "pickle"
         assert pickle_run.best_metric == shm_run.best_metric
