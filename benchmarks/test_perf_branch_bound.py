@@ -4,7 +4,9 @@ The headline criterion for the hierarchical branch-and-bound searcher:
 on a real ResNet-50 layer's Eyeriss mapspace it must find the *same*
 best-EDP mapping as the batched exhaustive sweep at >= 2x the speed, and
 the win must come from genuine subtree pruning (nonzero counters), not
-from evaluating fewer candidates by accident.
+from evaluating fewer candidates by accident. A second case solves the
+same layer's Ruby-S space exactly (3.7e7 candidates, beyond exhaustive
+search) and must land on its known optimum.
 
 Refreshes BENCH_branch_bound.json (the perf trajectory record).
 
@@ -21,7 +23,7 @@ from conftest import run_once
 from repro.arch import eyeriss_like
 from repro.io.serde import save_json
 from repro.mapspace.constraints import eyeriss_row_stationary
-from repro.mapspace.factory import pfm_mapspace
+from repro.mapspace.factory import make_mapspace, pfm_mapspace
 from repro.model import Evaluator
 from repro.search.branch_bound import BranchBoundSearch
 from repro.search.exhaustive import ExhaustiveSearch
@@ -97,6 +99,7 @@ def test_resnet_layer_branch_bound_2x(benchmark):
             "speedup": speedup,
             "priced": pruned.num_evaluated,
             "subtrees_pruned": bnb["subtrees_pruned"],
+            "infeasible_subtrees": bnb["infeasible_subtrees"],
             "nodes_expanded": bnb["nodes_expanded"],
             "leaves_deferred": bnb["leaves_deferred"],
             "bound_tightness": bnb["bound_tightness"],
@@ -136,3 +139,44 @@ def test_branch_bound_seed_stability(benchmark):
             "priced_seed12": second.num_evaluated,
         },
     )
+
+
+#: The exact optimum of conv5_expand under Ruby-S on row-stationary
+#: Eyeriss, as solved by the walk before its capacity cuts existed.
+CONV5_EXPAND_RUBY_S_EDP = 203170000515891.06
+
+
+def test_resnet_layer_ruby_s_exact(benchmark):
+    """Exact conv5_expand Ruby-S: the known optimum, found by pruning."""
+    arch, workload, constraints = _conv5_expand_setup()
+
+    def branch_bound():
+        return BranchBoundSearch(
+            make_mapspace(arch, workload, "ruby-s", constraints),
+            Evaluator(arch, workload),
+            objective="edp",
+            seed=0,
+        ).run()
+
+    result, elapsed_s = run_once(benchmark, lambda: _best_of(branch_bound, 1))
+    bnb = result.stats["bnb"]
+    print(
+        f"\nconv5_expand ruby-s: branch-bound {elapsed_s:.2f}s, priced "
+        f"{result.num_evaluated}, subtrees pruned {bnb['subtrees_pruned']}, "
+        f"infeasible {bnb['infeasible_subtrees']}"
+    )
+    _record(
+        "conv5_expand_ruby_s",
+        {
+            "branch_bound_s": elapsed_s,
+            "priced": result.num_evaluated,
+            "subtrees_pruned": bnb["subtrees_pruned"],
+            "infeasible_subtrees": bnb["infeasible_subtrees"],
+            "nodes_expanded": bnb["nodes_expanded"],
+            "leaves_deferred": bnb["leaves_deferred"],
+            "bound_tightness": bnb["bound_tightness"],
+            "best_edp": result.best_metric,
+        },
+    )
+    assert result.best_metric == CONV5_EXPAND_RUBY_S_EDP
+    assert bnb["infeasible_subtrees"] > 0

@@ -44,6 +44,7 @@ pruning a true improvement (see :data:`PRUNE_MARGIN`).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -1219,12 +1220,26 @@ class PartialBoundEngine:
     a table whose menu could reach 2**53 is built with Python ints
     instead. The same :data:`PRUNE_MARGIN` discipline as row-level
     pruning keeps float rounding from ever cutting a true improvement.
+
+    Besides bounds the engine decides **feasibility** with one rule
+    (:meth:`_fits`): the joint fanout caps and, per bounded storage level,
+    the capacity check of :meth:`BatchEvaluator._validity` (partitioned
+    words and shared capacity). Both depend on a dimension's chain only
+    through its bound at each spatial column and its tile *extent* at
+    each capacity level (the product of its bounds over the level's
+    columns), and footprints are monotone in extents. So the rule is
+    exact on complete assignments (:meth:`suffix_feasible`, the leaf
+    sweep's mask) and admissible on a node's children
+    (:meth:`child_feasible`: free dims at their menu-minimum extent and
+    spatial bound 1). A (level, tensor) whose footprint could reach
+    2**53 is never used to cut.
     """
 
     def __init__(
         self,
         engine: BatchEvaluator,
         menus: Sequence[Tuple[str, Sequence[Any]]],
+        fanout_caps: Sequence[int],
     ) -> None:
         if not engine.supported:
             raise RuntimeError(
@@ -1317,6 +1332,195 @@ class PartialBoundEngine:
         )
         #: (dim, cut, parent, inner) -> (factor table, its menu minimum).
         self._tables: Dict[Tuple, Tuple[Any, Any]] = {}
+        self._build_feasibility(fanout_caps)
+
+    def _build_feasibility(self, fanout_caps: Sequence[int]) -> None:
+        """Per-chain operands of :meth:`_fits`.
+
+        ``fanout_caps`` holds one joint cap per spatial column: the
+        mapspace's, which constraints may set below the hardware fanout
+        limits that :meth:`BatchEvaluator._validity` checks.
+        """
+        layout = self.layout
+        spatial_cols = [
+            c for c in range(layout.num_columns) if layout.col_spatial[c]
+        ]
+        if len(fanout_caps) != len(spatial_cols):
+            raise ValueError("fanout_caps needs one cap per spatial column")
+        #: Per spatial column: (cap, dims whose menu ever goes spatial there).
+        self._fanout: List[Tuple[int, Tuple[int, ...]]] = []
+        for cap, c in zip(fanout_caps, spatial_cols):
+            dims = tuple(
+                d for d, dim in enumerate(layout.dims)
+                if (self._menu_cols[dim][0][:, c] > 1).any()
+            )
+            self._fanout.append((int(cap), dims))
+        #: Per dim: each chain's bound at every spatial column.
+        self._spatial_vec = {
+            dim: [bounds[:, c] for c in spatial_cols]
+            for dim, (bounds, _) in self._menu_cols.items()
+        }
+        #: Per dim, per capacity level: each chain's tile extent there.
+        self._ext_vec = {
+            dim: [
+                np.prod(bounds[:, list(info["cols"])], axis=1)
+                for _, info in layout.capacity_levels
+            ]
+            for dim, (bounds, _) in self._menu_cols.items()
+        }
+        #: Per dim: the menu-minimum extent at each capacity level.
+        self._ext_min = {
+            dim: [int(v.min()) for v in vecs]
+            for dim, vecs in self._ext_vec.items()
+        }
+        #: Per capacity level: the kept tensors whose largest footprint
+        #: (every dim at its menu-maximum extent, in Python ints) stays
+        #: below 2**53, and whether that covers every tensor sharing the
+        #: level.
+        self._cap_exact: List[Tuple[Tuple[int, ...], bool]] = []
+        for j, (level_index, info) in enumerate(layout.capacity_levels):
+            ext_max = {
+                dim: max(
+                    math.prod(chain.bounds[c] for c in info["cols"])
+                    for chain in menu
+                )
+                for dim, menu in self.menus.items()
+            }
+            exact = []
+            for t in info["kept"]:
+                meta = layout.tensors[t]
+                footprint = 1
+                for rank in meta.ranks:
+                    footprint *= 1 + sum(
+                        coef * (ext_max[layout.dims[d]] - 1)
+                        for d, coef in rank
+                    )
+                if footprint * meta.bits_per_element < _EXACT_LIMIT:
+                    exact.append(t)
+            shared_exact = all(
+                t in exact
+                for t in info["kept"]
+                if layout.tensors[t].partition_words[level_index] is None
+            )
+            self._cap_exact.append((tuple(exact), shared_exact))
+
+    def _fits(self, ext: Sequence[Sequence[Any]], spatial: Sequence[Any]) -> Any:
+        """The one feasibility rule: joint fanout caps and capacity.
+
+        ``ext[d][j]`` is dimension ``d``'s tile extent at the ``j``-th
+        capacity level and ``spatial[d][s]`` its bound at the ``s``-th
+        spatial column (``spatial[d] is None``: bound 1 everywhere); all
+        values broadcast against each other. Replays the fanout and
+        capacity parts of :meth:`BatchEvaluator._validity` (coverage and
+        dataflow restrictions hold by construction of the menus), so on
+        exact operands the verdict is exact, and on operands that
+        under-state every extent and bound it never rejects a feasible
+        completion.
+        """
+        layout = self.layout
+        ok: Any = True
+        for s, (cap, dims) in enumerate(self._fanout):
+            used: Any = 1
+            for d in dims:
+                if spatial[d] is not None:
+                    # Clamped above the cap: the verdict is unchanged and
+                    # the product stays far from int64 overflow.
+                    used = np.minimum(used * spatial[d][s], cap + 1)
+            ok = ok & (used <= cap)
+        for j, (level_index, info) in enumerate(layout.capacity_levels):
+            exact, shared_exact = self._cap_exact[j]
+            shared: Any = 0
+            for t in exact:
+                meta = layout.tensors[t]
+                footprint: Any = 1
+                for rank in meta.ranks:
+                    span: Any = 0
+                    for d, coef in rank:
+                        span = span + coef * (ext[d][j] - 1)
+                    footprint = footprint * (span + 1)
+                words = np.maximum(
+                    footprint * meta.bits_per_element // info["word_bits"], 1
+                )
+                partition = meta.partition_words[level_index]
+                if partition is not None:
+                    ok = ok & (words <= partition)
+                else:
+                    shared = shared + words
+            if info["shared_capacity"] is not None and shared_exact:
+                ok = ok & (shared <= info["shared_capacity"])
+        return ok
+
+    def child_feasible(self, assigned: Dict[str, int], branch_dim: str) -> Any:
+        """Admissible feasibility of every child of a node, menu-vectorized.
+
+        Element ``k`` is false only when no completion of
+        ``assigned | {branch_dim: k}`` fits: assigned dims contribute
+        their exact extents and spatial bounds, ``branch_dim`` its whole
+        menu, and free dims their menu-minimum extents and bound 1.
+        """
+        layout = self.layout
+        ext: List[Any] = []
+        spatial: List[Any] = []
+        for dim in layout.dims:
+            idx = assigned.get(dim)
+            if dim == branch_dim:
+                ext.append(self._ext_vec[dim])
+                spatial.append(self._spatial_vec[dim])
+            elif idx is not None:
+                ext.append([v[idx] for v in self._ext_vec[dim]])
+                spatial.append([v[idx] for v in self._spatial_vec[dim]])
+            else:
+                ext.append(self._ext_min[dim])
+                spatial.append(None)
+        return np.broadcast_to(
+            self._fits(ext, spatial), (len(self.menus[branch_dim]),)
+        )
+
+    def _sweep_index(
+        self, assigned: Dict[str, Any]
+    ) -> Tuple[Dict[str, Any], Tuple[int, ...]]:
+        """Chain-index operands of a multi-leaf sweep.
+
+        ``assigned`` maps each assigned dim to a vector of ``L`` leaf
+        chain indices (no assigned dim: one leaf, the root). Returns, per
+        dim, an index array broadcastable into the sweep grid — assigned
+        dims along axis 0, free dims (in layout dim order) along axes
+        ``1..k`` — and the grid shape ``(L, *free menu lengths)``, so any
+        per-chain vector ``v`` of a dim reads ``v[index[dim]]``.
+        """
+        layout = self.layout
+        free = [dim for dim in layout.dims if dim not in assigned]
+        k = len(free)
+        index: Dict[str, Any] = {}
+        leaves = 1
+        for dim, idx in assigned.items():
+            idx = np.asarray(idx, dtype=np.int64).reshape((-1,) + (1,) * k)
+            leaves = idx.shape[0]
+            index[dim] = idx
+        shape = [leaves]
+        for i, dim in enumerate(free):
+            n = len(self.menus[dim])
+            axes = [1] * (k + 1)
+            axes[i + 1] = n
+            index[dim] = np.arange(n, dtype=np.int64).reshape(axes)
+            shape.append(n)
+        return index, tuple(shape)
+
+    def suffix_feasible(self, assigned: Dict[str, Any]) -> Any:
+        """Exact feasibility of every cell of :meth:`suffix_bounds`.
+
+        Same arguments and grid as :meth:`suffix_bounds`; every cell pins
+        every dimension, so the verdict equals the fanout-and-capacity
+        part of :meth:`BatchEvaluator._validity` on that mapping.
+        """
+        index, shape = self._sweep_index(assigned)
+        ext = []
+        spatial = []
+        for dim in self.layout.dims:
+            ix = index[dim]
+            ext.append([v[ix] for v in self._ext_vec[dim]])
+            spatial.append([v[ix] for v in self._spatial_vec[dim]])
+        return np.broadcast_to(self._fits(ext, spatial), shape)
 
     def _chain_cycles(self, chain: Any) -> int:
         """One dimension's exact factor of the cycle product.
@@ -1436,41 +1640,30 @@ class PartialBoundEngine:
         return int(self._factor_tables(dim, cut, parent, inner)[1][cutoff + 1])
 
     def suffix_bounds(
-        self, assigned: Dict[str, int], objective: str = "edp"
+        self, assigned: Dict[str, Any], objective: str = "edp"
     ) -> Any:
-        """:meth:`bound` of every *complete* assignment extending ``assigned``.
+        """:meth:`bound` of every complete assignment of ``L`` leaves.
 
-        Returns an array shaped by the free dimensions' menu lengths (in
-        layout dim order). Nothing is relaxed — each cell fixes every
-        dimension, so the cell value equals the scalar ``bound`` of that
-        full assignment: the tightest partial bound the engine can state,
-        computed densely. This is the leaf regime of the tree walk: once
-        a subtree is small, sweeping all of its completions' bounds in a
-        few broadcast kernels costs far less than branching further, and
-        the cells it cuts are never even enumerated into batches.
+        ``assigned`` maps each assigned dimension to an int vector of
+        ``L`` chain indices, one per leaf; every leaf pins the same dims.
+        With no assigned dim the one leaf is the root. Returns an array
+        shaped ``(L, *free menu lengths)`` (free dims in layout dim
+        order). Nothing is relaxed — each cell fixes every dimension, so
+        the cell value equals the scalar ``bound`` of that full
+        assignment, computed densely for all leaves in one broadcast: the
+        leaf regime of the tree walk, where sweeping every completion's
+        bound costs far less than branching further. Each cell goes
+        through the same element-wise operations in the same order as a
+        one-leaf sweep, so its float does not depend on which other
+        leaves share the call.
         """
         layout = self.layout
-        free = [dim for dim in layout.dims if dim not in assigned]
-        axis = {dim: i for i, dim in enumerate(free)}
-        k = len(free)
-
-        def spread(dim: str, arr: Any) -> Any:
-            shape = [1] * k
-            shape[axis[dim]] = arr.shape[0]
-            return arr.reshape(shape)
-
-        cycles_scalar = 1
+        index, shape = self._sweep_index(assigned)
+        cycles: Any = 1
         for dim in layout.dims:
-            idx = assigned.get(dim)
-            if idx is not None:
-                cycles_scalar *= self.chain_stats[dim][idx][0]
-        cycles: Any = np.int64(cycles_scalar)
-        for dim in free:
-            cycles = cycles * spread(dim, self._cyc_vec[dim])
+            cycles = cycles * self._cyc_vec[dim][index[dim]]
         if objective == "delay":
-            return np.broadcast_to(
-                cycles, tuple(len(self.menus[dim]) for dim in free)
-            ).astype(float)
+            return np.broadcast_to(cycles, shape).astype(float)
         engine = self.engine
         energy: Any = np.float64(engine.compute_energy)
         for meta in layout.tensors:
@@ -1483,15 +1676,7 @@ class PartialBoundEngine:
                     for d, _ in rank:
                         dim = layout.dims[d]
                         sizes.append(int(layout.sizes[d]))
-                        idx = assigned.get(dim)
-                        if idx is not None:
-                            tiles.append(
-                                np.int64(self.chain_stats[dim][idx][1][cut])
-                            )
-                        else:
-                            tiles.append(
-                                spread(dim, self._tiles_vec[dim][cut])
-                            )
+                        tiles.append(self._tiles_vec[dim][cut][index[dim]])
                     all_tiles: Any = 1
                     for t in tiles:
                         all_tiles = all_tiles * t
@@ -1502,34 +1687,21 @@ class PartialBoundEngine:
                 cutoff: Any = np.int64(-1)
                 for d in meta.relevant_idx:
                     dim = layout.dims[d]
-                    idx = assigned.get(dim)
-                    if idx is not None:
-                        cutoff = np.maximum(
-                            cutoff, np.int64(self.qual[dim][idx][cut])
-                        )
-                    else:
-                        cutoff = np.maximum(
-                            cutoff, spread(dim, self._qual_vec[dim][cut])
-                        )
+                    cutoff = np.maximum(
+                        cutoff, self._qual_vec[dim][cut][index[dim]]
+                    )
                 cutoff_idx = cutoff + 1
                 outer: Any = 1
                 inner: Any = 1
                 for d in meta.irrelevant_idx:
                     dim = layout.dims[d]
-                    # An assigned chain's table row, or the free menu
-                    # spread along its grid axis.
-                    idx = assigned.get(dim)
-                    if idx is None:
-                        idx = spread(
-                            dim, np.arange(len(self.menus[dim]), dtype=np.int64)
-                        )
                     outer = outer * self._factor_tables(
                         dim, cut, parent, False
-                    )[0][idx, cutoff_idx]
+                    )[0][index[dim], cutoff_idx]
                     if child is not None:
                         inner = inner * self._factor_tables(
                             dim, cut, parent, True
-                        )[0][idx, cutoff_idx]
+                        )[0][index[dim], cutoff_idx]
                 if not meta.is_output:
                     energy = energy + engine.read_pj[parent] * (base * outer)
                     if child is not None:
@@ -1542,7 +1714,6 @@ class PartialBoundEngine:
                         energy = energy + engine.read_pj[child] * (
                             base * inner
                         )
-        shape = tuple(len(self.menus[dim]) for dim in free)
         if objective == "energy":
             return np.broadcast_to(energy, shape).astype(float)
         return np.broadcast_to(energy * cycles.astype(float), shape)

@@ -23,16 +23,23 @@ Search order and exactness:
   Bounds are monotone along the tree, so the first prunable node at the
   front of the heap proves every remaining node prunable and the search
   terminates with the exact optimum.
+* **feasibility cuts** — a child whose every completion overflows a
+  buffer or a joint fanout cap is cut at expansion (admissible: free
+  dims at their smallest extents), and the leaf sweep masks infeasible
+  cells exactly; both are one rule,
+  :meth:`~repro.model.batch.PartialBoundEngine._fits`. Such candidates
+  would price to ``inf``, so cutting them never changes the answer.
 * **leaf batches** — once a subtree is small enough, it is buffered
   rather than branched; buffered subtrees flush together. At flush time
   each buffered bound is re-checked against the incumbent — which
   usually improved since the leaf was popped — so late leaves are often
-  cut without enumerating a row, and each surviving leaf's completions
-  get a dense bound sweep. The surviving cells become menu-index rows,
-  and :meth:`MapSpace.iter_index_batches` packs the rows of *many*
-  subtrees into shared full-width batches (tiny per-leaf batches would
-  otherwise dominate the runtime). They are priced by the bit-exact
-  vectorized engine with row-level pruning against the same incumbent.
+  cut without enumerating a row, and the surviving leaves' completions
+  get one dense feasibility-and-bound sweep. The surviving cells become
+  menu-index rows, and :meth:`MapSpace.iter_index_batches` packs the
+  rows of *many* subtrees into shared full-width batches (tiny per-leaf
+  batches would otherwise dominate the runtime). They are priced by the
+  bit-exact vectorized engine with row-level pruning against the same
+  incumbent.
   The returned best-EDP is therefore bit-identical to
   :class:`~repro.search.exhaustive.ExhaustiveSearch` — asserted by the
   ``branch-bound-parity`` invariant in :mod:`repro.verify.invariants`.
@@ -56,6 +63,7 @@ is ignored on that path).
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -92,6 +100,17 @@ def dims_branch_order(menus: Sequence[Tuple[str, Tuple]]) -> List[Tuple[str, Tup
     workload dim order, so the trajectory is fully deterministic — and
     identical between the serial walk and the parallel partitioning."""
     return sorted(menus, key=lambda pair: (-len(pair[1]), pair[0]))
+
+
+def partial_bound_engine(mapspace: MapSpace, engine) -> PartialBoundEngine:
+    """The bound engine of ``mapspace``'s menus, with its feasibility rule
+    held to the space's own joint fanout caps (which constraints may set
+    below the hardware's)."""
+    return PartialBoundEngine(
+        engine,
+        mapspace.dim_chain_menus(),
+        fanout_caps=[slot.fanout_cap for slot in mapspace.slots if slot.spatial],
+    )
 
 
 class _SubtreeWalker:
@@ -165,7 +184,9 @@ class _SubtreeWalker:
         #: ``suffix_product[len(root)]`` — the progress-total invariant
         #: the branch-bound tests pin.
         self.cells_covered = 0.0
-        self.best: Optional[Evaluation] = None
+        #: The incumbent's evaluation thunk; :attr:`best` runs it once.
+        self._make_best: Optional[Callable[[], Evaluation]] = None
+        self._best: Optional[Evaluation] = None
         self.best_metric = float("inf")
         self.best_chains: Optional[Dict[str, object]] = None
         self.best_signature: Optional[Tuple[int, ...]] = None
@@ -180,6 +201,21 @@ class _SubtreeWalker:
         self._leaf_rows = 0
         self._flush_rows = FLUSH_ROWS_FACTOR * batch_size
         self._counter = 1
+
+    @property
+    def best(self) -> Optional[Evaluation]:
+        """The walker's best candidate's :class:`Evaluation`.
+
+        Improvements keep only a thunk; it is materialized here, on the
+        first read after the last improvement, so a walk prices its answer
+        once instead of once per improvement (parallel workers never read
+        it: :func:`~repro.search.branch_bound_parallel.run_parallel_tree`
+        re-prices their claims).
+        """
+        if self._make_best is not None:
+            self._best = self._make_best()
+            self._make_best = None
+        return self._best
 
     def _cover(self, cells: float) -> None:
         """Account ``cells`` pre-filter candidates as resolved."""
@@ -200,22 +236,21 @@ class _SubtreeWalker:
     ) -> bool:
         """Offer a true candidate metric to the incumbent.
 
-        The evaluation is materialized only when the candidate beats the
-        cached cut (same laziness as before). A losing offer — possible
-        only under a shared incumbent, when another worker posted a
-        better true metric first — refreshes the cut instead.
+        ``make_evaluation`` is kept, not called: :attr:`best` calls the
+        last winner's once. A losing offer — possible only under a shared
+        incumbent, when another worker posted a better true metric first —
+        refreshes the cut instead.
         """
         if not metric < self._cut:
             return False
 
-        evaluation = make_evaluation()
         if signature is None:
             signature = (-1,) * len(self.workload_dims)
         if not self.incumbent.offer(metric, signature):
             self._cut = float(self.incumbent.read())
             return False
         self._cut = metric
-        self.best = evaluation
+        self._make_best = make_evaluation
         self.best_metric = metric
         self.best_chains = dict(chains) if chains is not None else None
         self.best_signature = tuple(int(x) for x in signature)
@@ -309,26 +344,24 @@ class _SubtreeWalker:
                 continue
             self.nodes_expanded += 1
             dim, menu = dims_order[depth]
-            prefix = {
-                dims_order[i][0]: dims_order[i][1][k]
-                for i, k in enumerate(indices)
-            }
             assigned = {
                 dims_order[i][0]: k for i, k in enumerate(indices)
             }
-            # One vectorized call prices the whole menu of children —
-            # per-child scalar bounds were the walk's hotspot.
+            # One vectorized call each prices and feasibility-checks the
+            # whole menu of children.
             child_bounds = self.bound_engine.child_bounds(
                 assigned, dim, self.objective
             )
-            for k, chain in enumerate(menu):
-                prefix[dim] = chain
-                if not self.mapspace.prefix_feasible(prefix):
-                    # No completion fits the fanout caps; not a bound
-                    # decision, so counted separately.
-                    self.infeasible_subtrees += 1
-                    self._cover(self.suffix_product[depth + 1])
-                    continue
+            feasible = np.flatnonzero(
+                self.bound_engine.child_feasible(assigned, dim)
+            )
+            infeasible = len(menu) - feasible.size
+            if infeasible:
+                # No completion of these children fits the fanout caps or
+                # a buffer; not a bound decision, so counted separately.
+                self.infeasible_subtrees += infeasible
+                self._cover(infeasible * self.suffix_product[depth + 1])
+            for k in feasible.tolist():
                 child_bound = float(child_bounds[k])
                 if (
                     self._cut != float("inf")
@@ -354,20 +387,23 @@ class _SubtreeWalker:
         """Price every buffered leaf subtree through shared batches.
 
         At flush time each leaf's stored bound is re-checked against the
-        incumbent — which usually improved since the leaf was popped —
-        and surviving leaves get a dense per-completion bound sweep
-        (:meth:`suffix_bounds`): complete assignments are the tightest
-        bounds the engine can state, and a cell cut there is never even
-        enumerated into a batch. Surviving cells become menu-index rows
-        (one column per workload dimension, assigned dims constant) by
-        index arithmetic on the grid, and
+        incumbent — which usually improved since the leaf was popped.
+        The surviving leaves are then swept together, one
+        :meth:`~repro.model.batch.PartialBoundEngine.suffix_bounds` and
+        one :meth:`~repro.model.batch.PartialBoundEngine.suffix_feasible`
+        call per run of equal-depth leaves (every leaf of one tree sits at
+        the same depth, so that is one sweep per flush). A cell that fails
+        fanout or capacity counts in ``infeasible_subtrees``; a feasible
+        cell whose complete-assignment bound cannot beat the incumbent
+        counts in ``subtrees_pruned``. Neither is ever enumerated into a
+        batch. Surviving cells become menu-index rows (one column per
+        workload dimension) in leaf order, then C order, and
         :meth:`MapSpace.iter_index_batches` gathers them into batches.
         """
         if not self._leaf_buffer:
             return
         self._cut = float(self.incumbent.read())
-        dims_order = self.dims_order
-        pieces: List[np.ndarray] = []
+        live: List[Tuple[int, ...]] = []
         for leaf_bound, leaf_indices in self._leaf_buffer:
             if (
                 self._cut != float("inf")
@@ -377,48 +413,17 @@ class _SubtreeWalker:
                 obs.inc("search.subtrees_pruned", driver="branch-bound")
                 self._cover(self.suffix_product[len(leaf_indices)])
                 continue
-            assigned = {
-                dims_order[i][0]: k for i, k in enumerate(leaf_indices)
-            }
-            row = np.array(
-                [assigned.get(dim, 0) for dim in self.workload_dims],
-                dtype=np.int64,
-            )
-            if len(leaf_indices) == self.num_dims:
-                pieces.append(row[None, :])
-                continue
-            grid = self.bound_engine.suffix_bounds(assigned, self.objective)
-            flat = grid.reshape(-1)
-            if self._cut != float("inf"):
-                keep = np.flatnonzero(
-                    flat * (1.0 - PRUNE_MARGIN) < self._cut
-                )
-                cut = flat.size - keep.size
-                if cut:
-                    self.subtrees_pruned += cut
-                    obs.inc(
-                        "search.subtrees_pruned", cut,
-                        driver="branch-bound",
-                    )
-                    # Each cut cell is one complete assignment.
-                    self._cover(cut)
-            else:
-                keep = np.arange(flat.size)
-            if not keep.size:
-                continue
-            # The grid's axes are the free dims in workload order.
-            free = [
-                d for d, dim in enumerate(self.workload_dims)
-                if dim not in assigned
-            ]
-            rows = np.repeat(row[None, :], keep.size, axis=0)
-            rows[:, free] = np.stack(np.unravel_index(keep, grid.shape), axis=1)
-            pieces.append(rows)
+            live.append(leaf_indices)
         self._leaf_buffer.clear()
         self._leaf_rows = 0
-        if not pieces:
-            return
+        pieces = [np.empty((0, len(self.workload_dims)), dtype=np.int64)]
+        for depth, group in itertools.groupby(live, key=len):
+            group = list(group)
+            leaves = np.array(group, dtype=np.int64).reshape(len(group), depth)
+            pieces.append(self._sweep(leaves))
         cells = np.concatenate(pieces)
+        if not len(cells):
+            return
         rows_priced = 0
         with obs.trace("search.leaf_flush", subtrees=len(cells)):
             for batch in self.mapspace.iter_index_batches(
@@ -482,6 +487,41 @@ class _SubtreeWalker:
         # Cells the joint-fanout filter dropped never became rows; they
         # are resolved all the same.
         self._cover(len(cells) - rows_priced)
+
+    def _sweep(self, leaves: np.ndarray) -> np.ndarray:
+        """Menu-index rows of the cells of ``leaves`` that survive the
+        feasibility mask and the bound cut (``leaves``: one row of menu
+        indices along ``dims_order`` per leaf, all of one depth)."""
+        depth = leaves.shape[1]
+        assigned = {
+            self.dims_order[i][0]: leaves[:, i] for i in range(depth)
+        }
+        feasible = self.bound_engine.suffix_feasible(assigned)
+        grid = self.bound_engine.suffix_bounds(assigned, self.objective)
+        keep = feasible
+        infeasible = feasible.size - int(np.count_nonzero(feasible))
+        if infeasible:
+            self.infeasible_subtrees += infeasible
+            self._cover(infeasible)
+        if self._cut != float("inf"):
+            keep = feasible & (grid * (1.0 - PRUNE_MARGIN) < self._cut)
+            cut = feasible.size - infeasible - int(np.count_nonzero(keep))
+            if cut:
+                self.subtrees_pruned += cut
+                obs.inc("search.subtrees_pruned", cut, driver="branch-bound")
+                # Each cut cell is one complete assignment.
+                self._cover(cut)
+        # Grid axes: the leaf, then the free dims in workload order.
+        coords = np.unravel_index(np.flatnonzero(keep), grid.shape)
+        rows = np.empty((coords[0].size, len(self.workload_dims)), np.int64)
+        column = {dim: d for d, dim in enumerate(self.workload_dims)}
+        for i in range(depth):
+            rows[:, column[self.dims_order[i][0]]] = leaves[coords[0], i]
+        free = [dim for dim in self.workload_dims if dim not in assigned]
+        for dim, axis in zip(free, coords[1:]):
+            rows[:, column[dim]] = axis
+        return rows
+
 
 class BranchBoundSearch:
     """Exact best-first branch-and-bound over the per-dimension prefix tree.
@@ -603,12 +643,12 @@ class BranchBoundSearch:
             walker.price_mappings(mappings, chains_list=chain_sets)
         obs.inc("search.candidates", self.warm_samples,
                 driver="branch-bound")
-        return walker.best_metric if walker.best is not None else None
+        return walker.best_metric if walker.best_metric < float("inf") else None
 
     def _run_tree(self, engine) -> SearchResult:
         mapspace = self.mapspace
         menus = mapspace.dim_chain_menus()
-        bound_engine = PartialBoundEngine(engine, menus)
+        bound_engine = partial_bound_engine(mapspace, engine)
         dims_order = dims_branch_order(menus)
 
         # Total work = the pre-filter menu product: every cell is either

@@ -80,9 +80,9 @@ def _get_stack(state: Dict[str, Any]) -> Dict[str, Any]:
     global _STACK_TOKEN, _STACK
     if _STACK is not None and _STACK_TOKEN == state["token"]:
         return _STACK
-    from repro.model.batch import BatchEvaluator, PartialBoundEngine
+    from repro.model.batch import BatchEvaluator
 
-    from repro.search.branch_bound import dims_branch_order
+    from repro.search.branch_bound import dims_branch_order, partial_bound_engine
 
     mapspace = make_mapspace(
         state["arch"], state["workload"], state["kind"], state["constraints"]
@@ -101,7 +101,7 @@ def _get_stack(state: Dict[str, Any]) -> Dict[str, Any]:
             "batch engine unsupported in branch-and-bound worker"
         )
     menus = mapspace.dim_chain_menus()
-    bound_engine = PartialBoundEngine(engine, menus)
+    bound_engine = partial_bound_engine(mapspace, engine)
     _STACK = {
         "mapspace": mapspace,
         "evaluator": evaluator,
@@ -263,13 +263,14 @@ def run_parallel_tree(search, engine) -> SearchResult:
     pool, and re-prices every worker claim so the returned best metric
     is bit-identical to the serial walk.
     """
-    from repro.model.batch import PRUNE_MARGIN, PartialBoundEngine
+    from repro.model.batch import PRUNE_MARGIN
 
     from repro.search.branch_bound import (
         FLUSH_ROWS_FACTOR,
         _SubtreeWalker,
         _bnb_stats,
         dims_branch_order,
+        partial_bound_engine,
     )
 
     mapspace = search.mapspace
@@ -277,7 +278,7 @@ def run_parallel_tree(search, engine) -> SearchResult:
     menus = mapspace.dim_chain_menus()
     menu_map = dict(menus)
     workload_dims = [dim for dim, _ in menus]
-    bound_engine = PartialBoundEngine(engine, menus)
+    bound_engine = partial_bound_engine(mapspace, engine)
     dims_order = dims_branch_order(menus)
     num_dims = len(menus)
     workers = search.workers

@@ -49,12 +49,13 @@ from repro.arch import toy_glb_architecture, toy_linear_architecture
 from repro.energy.accelergy import estimate_energy_table
 from repro.mapspace.allocation import DimAllocator
 from repro.mapspace.chain_count import count_dim_chains, mapspace_upper_bound
+from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.mapspace.counting import count_mapspace_size
 from repro.mapspace.generator import MapSpace, MapspaceKind
 from repro.mapspace.slots import build_slots
 from repro.model.eval_cache import EvaluationCache
 from repro.model.evaluator import Evaluator
-from repro.problem import GemmLayer
+from repro.problem import ConvLayer, GemmLayer
 from repro.problem.gemm import vector_workload
 from repro.search import (
     BranchBoundSearch,
@@ -460,6 +461,17 @@ def _parity_fixtures(seed: int):
                 Evaluator(eyeriss, gemm, eyeriss_table),
             )
         )
+    # Row-stationary conv where the PE buffers bind: 47 313 candidates,
+    # of which 6 979 overflow a buffer, so the walk's capacity cuts (child
+    # mask and leaf-sweep mask) decide real cells.
+    conv = ConvLayer("c4m8p3", c=4, m=8, p=3, q=3, r=3, s=3).workload()
+    fixtures.append(
+        (
+            "eyeriss-rs/pfm",
+            MapSpace(eyeriss, conv, MapspaceKind.PFM, eyeriss_row_stationary()),
+            Evaluator(eyeriss, conv, eyeriss_table),
+        )
+    )
     return fixtures
 
 

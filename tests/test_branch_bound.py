@@ -21,16 +21,17 @@ import random
 import numpy as np
 import pytest
 
-from repro.arch import eyeriss_like, toy_glb_architecture
+from repro.arch import eyeriss_like, simba_like, toy_glb_architecture
 from repro.exceptions import SearchError
 from repro.mapspace import MapspaceKind
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.mapspace.counting import count_mapspace_size
 from repro.mapspace.factory import make_mapspace
 from repro.model import Evaluator
-from repro.model.batch import BatchEvaluator, PartialBoundEngine
+from repro.model.batch import BatchEvaluator
 from repro.problem import ConvLayer, GemmLayer
 from repro.search import BranchBoundSearch, branch_bound_search
+from repro.search.branch_bound import partial_bound_engine
 from repro.search.exhaustive import ExhaustiveSearch
 
 
@@ -41,7 +42,7 @@ def _toy():
 def _bound_engine(space, evaluator):
     engine = BatchEvaluator(evaluator, layout=space.batch_layout())
     assert engine.supported, engine.unsupported_reason
-    return PartialBoundEngine(engine, space.dim_chain_menus())
+    return partial_bound_engine(space, engine)
 
 
 def _cell_metrics(space, evaluator, objective="edp"):
@@ -263,15 +264,57 @@ class TestBoundAdmissibility:
                         assert float(vec[idx]) == pytest.approx(
                             scalar, rel=1e-12
                         )
-                grid = be.suffix_bounds(assigned, objective)
-                assert grid.shape == tuple(len(menus[d]) for d in free)
-                probe = [0] * len(free)
-                full = dict(assigned)
-                for d, i in zip(free, probe):
-                    full[d] = i
-                assert float(grid[tuple(probe)]) == pytest.approx(
+
+    @pytest.mark.parametrize("case", [c for c, _ in CASES])
+    def test_multi_leaf_sweep_matches_scalar_bound(
+        self, case, vector100, small_gemm
+    ):
+        """One ``suffix_bounds`` call over L leaves equals the scalar bound
+        on every cell, and each leaf's slab equals a one-leaf call bit for
+        bit; with no assigned dim the root is the one leaf."""
+        arch, workload, space = self._setup(case, vector100, small_gemm)
+        be = _bound_engine(space, Evaluator(arch, workload))
+        menus = dict(space.dim_chain_menus())
+        dims = list(be.layout.dims)
+        rng = random.Random(5)
+
+        def check_every_cell(leaves, assigned_dims, objective):
+            assigned = {
+                dim: np.array([leaf[i] for leaf in leaves])
+                for i, dim in enumerate(assigned_dims)
+            }
+            grid = be.suffix_bounds(assigned, objective)
+            free = [d for d in dims if d not in assigned]
+            assert grid.shape == (len(leaves), *(len(menus[d]) for d in free))
+            for cell in itertools.product(*(range(n) for n in grid.shape)):
+                full = dict(zip(assigned_dims, leaves[cell[0]]))
+                full.update(zip(free, cell[1:]))
+                assert float(grid[cell]) == pytest.approx(
                     be.bound(full, objective), rel=1e-12
                 )
+            for i, leaf in enumerate(leaves):
+                one = be.suffix_bounds(
+                    {dim: [k] for dim, k in zip(assigned_dims, leaf)}, objective
+                )
+                assert np.array_equal(grid[i], one[0])
+
+        for objective in ("edp", "energy", "delay"):
+            check_every_cell([()], [], objective)
+            for _ in range(4):
+                # Pin dims until each leaf has at most 256 completions.
+                order = rng.sample(dims, len(dims))
+                assigned_dims = []
+                while len(assigned_dims) < len(dims) and np.prod(
+                    [len(menus[d]) for d in order[len(assigned_dims):]]
+                ) > 256:
+                    assigned_dims.append(order[len(assigned_dims)])
+                if not assigned_dims:
+                    assigned_dims = order[:1]
+                leaves = [
+                    tuple(rng.randrange(len(menus[d])) for d in assigned_dims)
+                    for _ in range(3)
+                ]
+                check_every_cell(leaves, assigned_dims, objective)
 
     def test_bound_monotone_under_assignment(self, small_gemm):
         """Assigning a dim never loosens the bound (tree monotonicity)."""
@@ -294,6 +337,133 @@ class TestBoundAdmissibility:
                 for idx in range(len(menus[branch]))
             )
             assert child >= parent * (1 - 1e-12)
+
+
+def _validity_oracle(space, engine):
+    """``BatchEvaluator._validity`` of every cell of the menu product (C
+    order, fanout-violating cells included), gathered straight from the
+    menus and reshaped to the product grid."""
+    menus = space.dim_chain_menus()
+    shape = tuple(len(menu) for _, menu in menus)
+    cells = np.indices(shape).reshape(len(shape), -1).T
+    bounds = np.stack(
+        [
+            np.array([c.bounds for c in menu])[cells[:, d]]
+            for d, (_, menu) in enumerate(menus)
+        ],
+        axis=2,
+    )
+    rems = np.stack(
+        [
+            np.array([c.remainders for c in menu])[cells[:, d]]
+            for d, (_, menu) in enumerate(menus)
+        ],
+        axis=2,
+    )
+    return engine._validity(bounds, rems).reshape(shape)
+
+
+class TestFeasibility:
+    """The bound engine's one feasibility rule against the batch kernels'
+    validity: exact on the leaf sweep, admissible on a node's children."""
+
+    def _setup(self, case, small_gemm, vector100):
+        eyeriss_conv = ConvLayer("tiny", c=2, m=2, p=3, q=3, r=3, s=3).workload()
+        arch, workload, kind, constraints = {
+            # Row-stationary Eyeriss: per-tensor PE buffers and the GLB.
+            "eyeriss-rs-pfm": (
+                eyeriss_like(), eyeriss_conv, "pfm", eyeriss_row_stationary()
+            ),
+            "eyeriss-rs-ruby-s": (
+                eyeriss_like(), eyeriss_conv, "ruby-s",
+                eyeriss_row_stationary(),
+            ),
+            # Simba: partitioned PE buffers (the output tile overflows).
+            "simba-pfm": (
+                simba_like(),
+                ConvLayer("wide", c=1, m=2, p=56, q=56, r=1, s=1).workload(),
+                "pfm", None,
+            ),
+            # Toy: shared GLB and register capacity; the vector's X and Y
+            # tiles fill the 4-word register exactly at extent 2.
+            "toy-pfm": (_toy(), small_gemm, "pfm", None),
+            "toy-v100-ruby-s": (_toy(), vector100, "ruby-s", None),
+        }[case]
+        space = make_mapspace(arch, workload, kind, constraints)
+        engine = BatchEvaluator(Evaluator(arch, workload), layout=space.batch_layout())
+        return space, engine, partial_bound_engine(space, engine)
+
+    CASES = [
+        "eyeriss-rs-pfm", "eyeriss-rs-ruby-s", "simba-pfm", "toy-pfm",
+        "toy-v100-ruby-s",
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_sweep_mask_equals_validity(self, case, small_gemm, vector100):
+        space, engine, be = self._setup(case, small_gemm, vector100)
+        oracle = _validity_oracle(space, engine)
+        # Capacity really binds: some fanout-feasible cells overflow.
+        assert oracle.any()
+        assert oracle.sum() < space.count_completions()
+        root = be.suffix_feasible({})
+        assert root.shape == (1, *oracle.shape)
+        assert np.array_equal(root[0], oracle)
+        # One leaf per chain of the first dim: the same cells, L > 1.
+        first = be.layout.dims[0]
+        leaves = be.suffix_feasible({first: np.arange(oracle.shape[0])})
+        assert np.array_equal(leaves, oracle)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_child_cut_is_admissible(self, case, small_gemm, vector100):
+        """No rejected child has a completion ``_validity`` accepts."""
+        space, engine, be = self._setup(case, small_gemm, vector100)
+        oracle = _validity_oracle(space, engine)
+        dims = list(be.layout.dims)
+        rng = random.Random(13)
+        rejected = 0
+        for trial in range(30):
+            chosen = [] if trial == 0 else rng.sample(dims, rng.randrange(len(dims)))
+            assigned = {d: rng.randrange(oracle.shape[dims.index(d)]) for d in chosen}
+            for branch in (d for d in dims if d not in assigned):
+                mask = be.child_feasible(assigned, branch)
+                assert mask.shape == (oracle.shape[dims.index(branch)],)
+                for k in np.flatnonzero(~mask):
+                    rejected += 1
+                    pinned = {**assigned, branch: int(k)}
+                    sub = oracle[
+                        tuple(pinned.get(d, slice(None)) for d in dims)
+                    ]
+                    assert not sub.any(), (assigned, branch, int(k))
+        assert rejected > 0
+
+    def test_footprints_past_the_exact_limit_never_cut(
+        self, monkeypatch, small_gemm, vector100
+    ):
+        """A footprint that could pass 2**53 is kept, not cut on a
+        possibly wrapped int64 product: with the limit lowered below
+        every footprint only the fanout caps reject cells."""
+        from repro.model import batch as batch_module
+
+        space, engine, _ = self._setup("eyeriss-rs-pfm", small_gemm, vector100)
+        monkeypatch.setattr(batch_module, "_EXACT_LIMIT", 2.0)
+        mask = partial_bound_engine(space, engine).suffix_feasible({})[0]
+        assert mask.sum() == space.count_completions()
+        assert (mask | ~_validity_oracle(space, engine)).all()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_walk_prices_only_feasible_rows(self, case, small_gemm, vector100):
+        """Without a warm start every priced row is valid, and the answer
+        is still the exhaustive optimum (narrow leaves, so children are
+        cut at expansion too)."""
+        space, engine, _ = self._setup(case, small_gemm, vector100)
+        evaluator = engine.evaluator
+        exact = ExhaustiveSearch(space, evaluator).run()
+        result = BranchBoundSearch(
+            space, evaluator, seed=0, warm_samples=0, leaf_width=16
+        ).run()
+        assert result.stats["bnb"]["infeasible_subtrees"] > 0
+        assert result.num_valid == result.num_evaluated
+        assert result.best_metric == exact.best_metric
 
 
 class TestBranchBoundSearch:
@@ -453,10 +623,13 @@ class TestPinnedCounts:
         result = self._run(workers=1)
         bnb = result.stats["bnb"]
         assert result.best_metric == self.BEST_EDP
-        assert result.num_evaluated == 13_184
-        assert bnb["subtrees_pruned"] == 545_140
+        assert result.num_evaluated == 382
+        assert bnb["subtrees_pruned"] == 112_262
+        # 74 of the root's 244 children fail capacity at expansion; the
+        # leaf sweeps reject the rest (cells) by fanout or capacity.
+        assert bnb["infeasible_subtrees"] == 333_574
         assert bnb["nodes_expanded"] == 1
-        assert bnb["leaves_deferred"] == 244
+        assert bnb["leaves_deferred"] == 170
         # Warm start, then leaf-flush improvements at their row positions.
         assert [(p.evaluations, p.best_metric) for p in result.curve] == [
             (13, 2111902231036108.5),
@@ -465,8 +638,8 @@ class TestPinnedCounts:
             (69, 710254374192123.9),
             (71, 626300764407071.9),
             (73, 584323959514545.9),
-            (797, 565580632208303.8),
-            (799, self.BEST_EDP),
+            (129, 565580632208303.8),
+            (131, self.BEST_EDP),
         ]
 
     def test_two_workers_same_optimum(self):
@@ -476,6 +649,7 @@ class TestPinnedCounts:
         result = self._run(workers=2)
         bnb = result.stats["bnb"]
         assert result.best_metric == self.BEST_EDP
+        assert bnb["infeasible_subtrees"] > 0
         assert bnb["nodes_expanded"] == 0
         assert bnb["leaves_deferred"] == 244
         assert result.stats["pool"]["num_units"] == 244

@@ -22,8 +22,9 @@ from repro.arch import eyeriss_like, toy_glb_architecture
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.mapspace.factory import make_mapspace
 from repro.model import Evaluator
-from repro.model.batch import BatchEvaluator, PartialBoundEngine
+from repro.model.batch import BatchEvaluator
 from repro.problem import ConvLayer, GemmLayer
+from repro.search.branch_bound import partial_bound_engine
 
 
 def _space(case):
@@ -220,7 +221,7 @@ class TestFactorTables:
         space = _factor_space(case)
         evaluator = Evaluator(space.arch, space.workload)
         engine = BatchEvaluator(evaluator, layout=space.batch_layout())
-        be = PartialBoundEngine(engine, space.dim_chain_menus())
+        be = partial_bound_engine(space, engine)
         if dtype is object:
             # Tables of chains past the exact limit fold Python ints.
             monkeypatch.setattr("repro.model.batch._EXACT_LIMIT", 1.0)

@@ -10,8 +10,11 @@ from repro.verify.invariants import (
     check_pfm_containment,
     check_prune_parity,
     check_seed_determinism,
+    _parity_fixtures,
     run_invariants,
 )
+from repro.search import BranchBoundSearch
+from repro.search.exhaustive import ExhaustiveSearch
 
 
 class TestIndividualInvariants:
@@ -34,6 +37,19 @@ class TestIndividualInvariants:
         checked, violations = check_prune_parity(seed=0)
         assert checked > 0
         assert violations == []
+
+    def test_branch_bound_parity_has_a_capacity_bound_fixture(self):
+        """One parity fixture is a space where buffers bind, so the walk's
+        capacity cuts decide real cells under the differential check."""
+        fixtures = {label: rest for label, *rest in _parity_fixtures(0)}
+        space, evaluator = fixtures["eyeriss-rs/pfm"]
+        exhaustive = ExhaustiveSearch(space, evaluator, limit=200_000).run()
+        # Some enumerated (fanout-feasible) candidates overflow a buffer.
+        assert exhaustive.num_evaluated == space.count_completions() <= 200_000
+        assert exhaustive.num_valid < exhaustive.num_evaluated
+        result = BranchBoundSearch(space, evaluator, seed=0).run()
+        assert result.stats["bnb"]["infeasible_subtrees"] > 0
+        assert result.best_metric == exhaustive.best_metric
 
     def test_seed_determinism_covers_all_six_searchers(self):
         checked, violations = check_seed_determinism(seed=0)
